@@ -252,6 +252,11 @@ class Pipeline:
         if not target.exists() or target.read_text(encoding="utf-8") != text:
             target.write_text(text, encoding="utf-8")
 
+    def close(self) -> None:
+        self.cache.close()
+        if isinstance(self.transport, HttpTransport):
+            self.transport.close()
+
 
 def _require(path: Path, producer: str) -> None:
     if not path.exists():
@@ -269,7 +274,6 @@ def cmd_pair(pipe: Pipeline) -> dict[str, Any]:
     pcfg = PairingConfig(
         tau=pipe.cfg["pairing"]["tau"],
         max_pairs_per_question=pipe.cfg["pairing"]["max_pairs_per_question"],
-        seed=pipe.cfg["seed"],
     )
     details: dict[str, Any] = {}
     for tag, corpus in pipe.corpora():
@@ -280,8 +284,7 @@ def cmd_pair(pipe: Pipeline) -> dict[str, Any]:
         embedder = EmbeddingClient(
             pipe.transport, pipe.models["embedder"], pipe.provider_cfg, pipe.cache
         )
-        cache_path = pipe.out / "cache" / "embeddings" / f"{tag}.jsonl"
-        embeddings = embed_corpus(corpus, embedder, cache_path)
+        embeddings = embed_corpus(corpus, embedder)
         pairs = build_pairs(corpus, embeddings, pcfg)
         save_pairs(pairs, paths.pairs)
         paired = len({qid for p in pairs for qid in (p.low.id, p.high.id)})
@@ -717,13 +720,21 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     out_dir = Path(args.out) if args.out else Path(cfg["out_dir"])
-    pipe = Pipeline(cfg, out_dir, resume=args.resume)
-    pipe.write_config_copy()
     try:
+        # Opening the pipeline loads the response cache, which rejects a
+        # corrupt log with a ValueError.
+        pipe = Pipeline(cfg, out_dir, resume=args.resume)
+    except _EXPECTED_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FATAL
+    try:
+        pipe.write_config_copy()
         result = _run_step(pipe, args.command, COMMANDS[args.command])
     except _EXPECTED_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FATAL
+    finally:
+        pipe.close()
     return EXIT_OK if result["failures"] == 0 else EXIT_PARTIAL
 
 

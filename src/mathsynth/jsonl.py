@@ -47,14 +47,3 @@ def write_records(path: str | Path, records: Iterable[dict[str, Any]]) -> int:
     os.replace(tmp, path)
     return count
 
-
-def append_records(path: str | Path, records: Iterable[dict[str, Any]]) -> int:
-    """Append records to an existing line-delimited file (creating it if absent)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    count = 0
-    with open(path, "a", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(dump_line(record))
-            count += 1
-    return count

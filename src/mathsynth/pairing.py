@@ -10,12 +10,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import jsonl
-from .corpus import Corpus, SeedProblem, question_hash
+from .corpus import Corpus, SeedProblem
 
 # Band the pairing threshold is normally tuned within; values outside it are
 # allowed but warned about.
@@ -105,7 +105,6 @@ class QuestionPair:
 class PairingConfig:
     tau: float = 0.8
     max_pairs_per_question: int | None = 5
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tau < 1.0:
@@ -207,66 +206,19 @@ def select_generation_pair(
     return candidates[0]
 
 
-# --- embedding cache and pair persistence ---------------------------------
+# --- embedding and pair persistence -----------------------------------------
 
 
-def load_embedding_cache(path: str | Path) -> dict[tuple[str, str], EmbeddingVector]:
-    """Read a {question_hash, model_tag, vector} cache file; missing file is an empty cache."""
-    path = Path(path)
-    cache: dict[tuple[str, str], EmbeddingVector] = {}
-    if not path.exists():
-        return cache
-    for _, record in jsonl.read_records(path):
-        key = (record["question_hash"], record["model_tag"])
-        cache[key] = EmbeddingVector.from_values(record["vector"])
-    return cache
+def embed_corpus(corpus: Corpus, embedder) -> dict[str, EmbeddingVector]:
+    """Embed every question in one `embedder.embed` call, keyed by problem id.
 
-
-def append_embedding_cache(
-    path: str | Path,
-    entries: Iterable[tuple[str, str, EmbeddingVector]],
-) -> int:
-    return jsonl.append_records(
-        path,
-        (
-            {
-                "question_hash": qhash,
-                "model_tag": model_tag,
-                "vector": vector.values.tolist(),
-            }
-            for qhash, model_tag, vector in entries
-        ),
-    )
-
-
-def embed_corpus(
-    corpus: Corpus,
-    embedder,
-    cache_path: str | Path | None = None,
-) -> dict[str, EmbeddingVector]:
-    """Embed every question, consulting the cache file before any provider call.
-
-    `embedder` needs `.model_tag` and `.embed(texts) -> list[EmbeddingVector]`.
+    `embedder` needs `.embed(texts) -> list[EmbeddingVector]`; caching is the
+    embedder's job (EmbeddingClient keeps one response-cache entry per text).
     """
-    cache = load_embedding_cache(cache_path) if cache_path else {}
-    model_tag = embedder.model_tag
-    result: dict[str, EmbeddingVector] = {}
-    pending: list[SeedProblem] = []
-    for problem in corpus.problems:
-        cached = cache.get((question_hash(problem.question), model_tag))
-        if cached is not None:
-            result[problem.id] = cached
-        else:
-            pending.append(problem)
-    if pending:
-        vectors = embedder.embed([problem.question for problem in pending])
-        new_entries = []
-        for problem, vector in zip(pending, vectors):
-            result[problem.id] = vector
-            new_entries.append((question_hash(problem.question), model_tag, vector))
-        if cache_path:
-            append_embedding_cache(cache_path, new_entries)
-    return result
+    if not corpus.problems:
+        return {}
+    vectors = embedder.embed([problem.question for problem in corpus.problems])
+    return {problem.id: vector for problem, vector in zip(corpus.problems, vectors)}
 
 
 def save_pairs(pairs: Sequence[QuestionPair], path: str | Path) -> None:

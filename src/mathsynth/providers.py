@@ -23,7 +23,6 @@ from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from . import jsonl
 from .pairing import EmbeddingVector
 
 T = TypeVar("T")
@@ -127,51 +126,107 @@ class ChatResponse:
 
 
 class ResponseCache:
-    """Disk cache of raw response bodies, one JSON file per request key.
+    """Disk cache of raw response bodies: one append-only log under `root`.
 
-    Writes are atomic and an index line records each new entry; safe for
-    concurrent use from worker threads in one process.
+    Each entry is one line, `<64-hex key>\t<json {endpoint, salt, response}>\n`.
+    Opening the cache scans the log once into an in-memory key -> (offset,
+    length) index; `get` reads one body back with a single `pread`. A later
+    entry for a key replaces an earlier one. A final line without its newline
+    (a write cut short) is ignored on load and cut off before the next append.
+    The log is opened for appending only on the first `put`, so a warm replay
+    never writes to it. Safe for concurrent use from worker threads in one
+    process; one process at a time may write.
     """
+
+    LOG_NAME = "log"
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
+        self.path = self.root / self.LOG_NAME
         self._lock = threading.Lock()
-        self._memo: dict[str, dict[str, Any]] = {}
+        self._index: dict[str, tuple[int, int]] = {}
+        self._size = 0  # bytes of whole lines; a torn tail lies beyond
+        self._torn = False
+        self._read_fd: int | None = None
+        self._append_fd: int | None = None
+        self._load()
+
+    def _load(self) -> None:
+        try:
+            fh = open(self.path, "rb")
+        except FileNotFoundError:
+            return
+        with fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.endswith(b"\n"):
+                    self._torn = True
+                    break
+                if len(line) < 66 or line[64:65] != b"\t":
+                    raise ValueError(f"{self.path}: line {lineno}: malformed cache entry")
+                self._index[line[:64].decode("ascii")] = (self._size + 65, len(line) - 66)
+                self._size += len(line)
 
     def _entry_path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+        """The file holding the entry for `key`: the log, for every key.
+
+        bench/tracing.py sizes each put by this file.
+        """
+        return self.path
 
     def get(self, key: str) -> dict[str, Any] | None:
-        with self._lock:
-            if key in self._memo:
-                return self._memo[key]
-        path = self._entry_path(key)
-        if not path.exists():
+        entry = self._index.get(key)
+        if entry is None:
             return None
-        body = json.loads(path.read_text(encoding="utf-8"))["response"]
-        with self._lock:
-            self._memo[key] = body
-        return body
+        if self._read_fd is None:
+            with self._lock:
+                if self._read_fd is None:
+                    self._read_fd = os.open(self.path, os.O_RDONLY)
+        offset, length = entry
+        return json.loads(os.pread(self._read_fd, length, offset))["response"]
 
     def put(self, key: str, endpoint: str, salt: str, response: dict[str, Any]) -> None:
-        path = self._entry_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        record = {"key": key, "endpoint": endpoint, "salt": salt, "response": response}
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(record, ensure_ascii=False, sort_keys=True), encoding="utf-8")
-        os.replace(tmp, path)
+        if len(key) != 64:
+            raise ValueError(f"cache key must be 64 hex digits, got {key!r}")
+        record = {"endpoint": endpoint, "salt": salt, "response": response}
+        body = json.dumps(record, ensure_ascii=False, sort_keys=True).encode("utf-8")
+        line = key.encode("ascii") + b"\t" + body + b"\n"
         with self._lock:
-            self._memo[key] = response
-            jsonl.append_records(
-                self.root / "index.jsonl", [{"key": key, "endpoint": endpoint, "salt": salt}]
-            )
+            if self._append_fd is None:
+                self.root.mkdir(parents=True, exist_ok=True)
+                self._append_fd = os.open(
+                    self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644
+                )
+            if self._torn:
+                os.ftruncate(self._append_fd, self._size)
+                self._torn = False
+            written = os.write(self._append_fd, line)
+            if written != len(line):
+                self._torn = True
+                raise OSError(f"{self.path}: short write, {written} of {len(line)} bytes")
+            self._index[key] = (self._size + len(key) + 1, len(body))
+            self._size += len(line)
+
+    def close(self) -> None:
+        """Close the log's descriptors; a later get or put opens them again."""
+        with self._lock:
+            for fd in (self._read_fd, self._append_fd):
+                if fd is not None:
+                    os.close(fd)
+            self._read_fd = self._append_fd = None
 
 
 class HttpTransport:
-    """OpenAI-compatible HTTP transport. The cache salt is not sent on the wire."""
+    """OpenAI-compatible HTTP transport. The cache salt is not sent on the wire.
+
+    Each thread keeps one `requests.Session`, so its calls share a kept-alive
+    connection instead of opening one per request.
+    """
 
     def __init__(self, cfg: ProviderConfig):
         self.cfg = cfg
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._sessions: list[Any] = []
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -180,12 +235,22 @@ class HttpTransport:
             headers["Authorization"] = f"Bearer {key}"
         return headers
 
+    def _session(self) -> Any:
+        session = getattr(self._local, "session", None)
+        if session is None:
+            import requests
+
+            session = self._local.session = requests.Session()
+            with self._lock:
+                self._sessions.append(session)
+        return session
+
     def request(self, path: str, payload: dict[str, Any], salt: str = "") -> dict[str, Any]:
         import requests
 
         url = self.cfg.base_url.rstrip("/") + path
         try:
-            resp = requests.post(
+            resp = self._session().post(
                 url, json=payload, headers=self._headers(), timeout=self.cfg.timeout
             )
         except requests.exceptions.RequestException as exc:
@@ -201,6 +266,13 @@ class HttpTransport:
             return resp.json()
         except ValueError as exc:
             raise TransportError(f"{url} returned non-JSON body", retryable=True) from exc
+
+    def close(self) -> None:
+        """Close every thread's session and its connections."""
+        with self._lock:
+            sessions, self._sessions = self._sessions, []
+        for session in sessions:
+            session.close()
 
 
 def mock_embedding(text: str, dim: int = 64, seed: int = 0) -> list[float]:

@@ -17,16 +17,14 @@ from mathsynth.pairing import (
     PairingConfig,
     PairingError,
     QuestionPair,
-    append_embedding_cache,
     build_pairs,
     cosine_similarity,
     embed_corpus,
-    load_embedding_cache,
     load_pairs,
     save_pairs,
     select_generation_pair,
 )
-from mathsynth.providers import mock_embedding
+from mathsynth.providers import EmbeddingClient, MockTransport, ResponseCache, mock_embedding
 
 
 def oracle_pairs(corpus: Corpus, vectors: dict[str, np.ndarray], tau: float):
@@ -245,38 +243,37 @@ def test_pairs_round_trip(tmp_path, toy_corpus):
         load_pairs(path, orphan)
 
 
+def _cached_embedder(cache_dir) -> tuple[EmbeddingClient, MockTransport]:
+    transport = MockTransport(seed=0)
+    return EmbeddingClient(transport, "unit-embedder", cache=ResponseCache(cache_dir)), transport
+
+
 def test_embedding_cache_round_trip(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    assert load_embedding_cache(path) == {}
-    vec = EmbeddingVector.from_values([0.5, 0.25, 0.1])
-    append_embedding_cache(path, [("hash1", "model-a", vec)])
-    cache = load_embedding_cache(path)
-    assert ("hash1", "model-a") in cache
-    np.testing.assert_array_equal(cache[("hash1", "model-a")].values, vec.values)
+    texts = ["a first probe text", "a second probe text"]
+    client, transport = _cached_embedder(tmp_path / "cache")
+    stored = client.embed(texts)
+    assert transport.calls == 1
 
-
-class _CountingEmbedder:
-    model_tag = "unit-embedder"
-
-    def __init__(self):
-        self.calls: list[list[str]] = []
-
-    def embed(self, texts):
-        self.calls.append(list(texts))
-        return [EmbeddingVector.from_values(mock_embedding(t)) for t in texts]
+    fresh, fresh_transport = _cached_embedder(tmp_path / "cache")
+    loaded = fresh.embed(texts)
+    assert fresh_transport.calls == 0
+    for before, after in zip(stored, loaded):
+        np.testing.assert_array_equal(after.values, before.values)
+        assert after.norm == before.norm
 
 
 def test_embed_corpus_consults_cache_first(tmp_path, toy_corpus):
-    cache_path = tmp_path / "emb.jsonl"
-    embedder = _CountingEmbedder()
-    first = embed_corpus(toy_corpus, embedder, cache_path)
+    embedder, transport = _cached_embedder(tmp_path / "cache")
+    first = embed_corpus(toy_corpus, embedder)
     assert len(first) == len(toy_corpus)
-    assert sum(len(batch) for batch in embedder.calls) == len(toy_corpus)
+    assert embedder.stats.snapshot()["cache_hits"] == 0 and transport.calls == 1
 
-    again = embed_corpus(toy_corpus, _CountingEmbedder(), cache_path)
-    fresh = _CountingEmbedder()
-    third = embed_corpus(toy_corpus, fresh, cache_path)
-    assert fresh.calls == []  # every question served from the cache file
+    again, again_transport = _cached_embedder(tmp_path / "cache")
+    second = embed_corpus(toy_corpus, again)
+    assert again_transport.calls == 0  # every question served from the response cache
+    assert again.stats.snapshot()["cache_hits"] == len(toy_corpus)
+    assert list(second) == [p.id for p in toy_corpus.problems]
     for pid in first:
-        np.testing.assert_array_equal(first[pid].values, again[pid].values)
-        np.testing.assert_array_equal(first[pid].values, third[pid].values)
+        np.testing.assert_array_equal(first[pid].values, second[pid].values)
+        question = toy_corpus.by_id()[pid].question
+        np.testing.assert_array_equal(first[pid].values, mock_embedding(question))

@@ -1,23 +1,30 @@
 """Provider layer: caching, retries, mock determinism, batching, and concurrency."""
 from __future__ import annotations
 
+import json
+import sys
 import threading
 import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
 
+import mathsynth.cli as cli
 from conftest import make_chat
+from test_cli import make_run
 from mathsynth.pairing import EmbeddingVector, cosine_similarity
 from mathsynth.providers import (
     ChatClient,
     ChatRequest,
     EmbeddingClient,
+    HttpTransport,
     MockTransport,
     ProviderConfig,
     ProviderError,
     ResponseCache,
     TransportError,
+    cache_key,
     map_bounded,
     mock_embedding,
 )
@@ -160,6 +167,134 @@ def test_failed_responses_are_not_cached(tmp_path):
     healthy, healthy_transport = make_chat(cache_dir=tmp_path / "cache")
     response = healthy.complete(_req("ping"))
     assert response.cached is False and healthy_transport.calls == 1
+
+
+# --- response cache log -----------------------------------------------------
+
+
+def _key(i: int) -> str:
+    return cache_key("/unit", {"i": i}, "")
+
+
+def test_torn_final_line_is_ignored_then_cut_off(tmp_path):
+    cache = ResponseCache(tmp_path)
+    for i in range(2):
+        cache.put(_key(i), "/unit", "", {"i": i})
+    cache.close()
+    whole = cache.path.read_bytes()
+    with open(cache.path, "ab") as fh:
+        fh.write(_key(2).encode() + b'\t{"endpoint": "/unit", "resp')
+
+    torn = ResponseCache(tmp_path)
+    assert [torn.get(_key(i)) for i in range(3)] == [{"i": 0}, {"i": 1}, None]
+    torn.put(_key(3), "/unit", "", {"i": 3})
+    torn.close()
+    data = cache.path.read_bytes()
+    assert data.startswith(whole)
+    assert data[len(whole) :].startswith(_key(3).encode() + b"\t")
+    assert data.count(b"\n") == 3 and data.endswith(b"\n")
+
+    fresh = ResponseCache(tmp_path)
+    assert [fresh.get(_key(i)) for i in range(4)] == [{"i": 0}, {"i": 1}, None, {"i": 3}]
+    fresh.close()
+
+
+def test_malformed_whole_line_is_an_error(tmp_path):
+    (tmp_path / ResponseCache.LOG_NAME).write_bytes(b"not a cache entry\n")
+    with pytest.raises(ValueError, match="line 1"):
+        ResponseCache(tmp_path)
+
+
+def test_concurrent_puts_are_all_read_back_by_a_fresh_cache(tmp_path):
+    cache = ResponseCache(tmp_path)
+
+    def put_then_get(i: int) -> dict:
+        body = {"i": i, "pad": "x" * (i * 37 % 3000)}
+        cache.put(_key(i), "/unit", "", body)
+        return cache.get(_key(i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        bodies = map_bounded(put_then_get, range(200), max_in_flight=8)
+    finally:
+        sys.setswitchinterval(interval)
+    cache.close()
+    assert [b["i"] for b in bodies] == list(range(200))
+
+    fresh = ResponseCache(tmp_path)
+    assert [fresh.get(_key(i)) for i in range(200)] == bodies
+    assert cache.path.read_bytes().count(b"\n") == 200
+    fresh.close()
+
+
+def test_warm_pair_and_generate_make_no_calls_and_leave_the_log_alone(tmp_path, monkeypatch):
+    calls: list[str] = []
+
+    class CountingTransport(MockTransport):
+        def request(self, path, payload, salt=""):
+            calls.append(path)
+            return super().request(path, payload, salt)
+
+    monkeypatch.setattr(cli, "MockTransport", CountingTransport)
+    config_path, out = make_run(tmp_path)
+
+    def run() -> None:
+        for command in ("pair", "generate"):
+            assert cli.main([command, "--config", str(config_path)]) == cli.EXIT_OK
+
+    run()
+    assert {"/embeddings", "/chat/completions"} <= set(calls)
+    log = out / "cache" / "responses" / ResponseCache.LOG_NAME
+    assert [p for p in (out / "cache").rglob("*") if p.is_file()] == [log]
+    before = (log.read_bytes(), log.stat().st_size, log.stat().st_mtime_ns)
+
+    calls.clear()
+    run()
+    assert calls == []
+    assert (log.read_bytes(), log.stat().st_size, log.stat().st_mtime_ns) == before
+
+
+# --- HTTP transport -----------------------------------------------------------
+
+
+class _EchoHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"  # keeps connections alive between requests
+
+    def setup(self) -> None:
+        super().setup()
+        self.server.connections += 1
+
+    def do_POST(self) -> None:
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        body = json.dumps({"echo": payload}).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args) -> None:
+        pass
+
+
+def test_http_transport_reuses_one_connection_per_thread():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _EchoHandler)
+    server.connections = 0
+    serving = threading.Thread(target=server.serve_forever, daemon=True)
+    serving.start()
+    base_url = f"http://127.0.0.1:{server.server_port}/v1"
+    transport = HttpTransport(ProviderConfig(base_url=base_url, timeout=10.0))
+    try:
+        replies = [transport.request("/embeddings", {"n": n}) for n in range(4)]
+    finally:
+        transport.close()
+        server.shutdown()
+        server.server_close()
+        serving.join(timeout=10)
+    assert not serving.is_alive()
+    assert [reply["echo"]["n"] for reply in replies] == [0, 1, 2, 3]
+    assert server.connections == 1
 
 
 # --- embedding client -------------------------------------------------------
