@@ -127,6 +127,19 @@ def _deep_merge(base: dict[str, Any], override: dict[str, Any]) -> dict[str, Any
     return merged
 
 
+def _unknown_keys(defaults: dict[str, Any], loaded: dict[str, Any], prefix: str = "") -> list[str]:
+    """Dotted paths of keys in `loaded` that `defaults` lacks, at every dict level."""
+    unknown = []
+    for key, value in loaded.items():
+        if key not in defaults:
+            unknown.append(prefix + key)
+        elif isinstance(defaults[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{prefix + key} must be a JSON object")
+            unknown += _unknown_keys(defaults[key], value, f"{prefix}{key}.")
+    return unknown
+
+
 def load_run_config(path: str | Path) -> dict[str, Any]:
     path = Path(path)
     if not path.exists():
@@ -137,7 +150,7 @@ def load_run_config(path: str | Path) -> dict[str, Any]:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(loaded, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    unknown = set(loaded) - set(DEFAULTS)
+    unknown = _unknown_keys(DEFAULTS, loaded)
     if unknown:
         raise ConfigError(f"{path}: unknown config keys: {sorted(unknown)}")
     return _deep_merge(DEFAULTS, loaded)

@@ -11,6 +11,7 @@ payload but a distinct cache identity; HTTP transports ignore it.
 """
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import os
@@ -129,6 +130,9 @@ class ResponseCache:
     """Disk cache of raw response bodies: one append-only log under `root`.
 
     Each entry is one line, `<64-hex key>\t<json {endpoint, salt, response}>\n`.
+    Chat entries hold the provider's response body; embedding entries have
+    salt "f64le" and hold `{"f64le": <base64 of little-endian float64s>}`
+    (see EmbeddingClient).
     Opening the cache scans the log once into an in-memory key -> (offset,
     length) index; `get` reads one body back with a single `pread`. A later
     entry for a key replaces an earlier one. A final line without its newline
@@ -500,7 +504,19 @@ def _extract_content(body: dict[str, Any], key: str) -> str:
 
 
 class EmbeddingClient:
-    """Batched embedding client; caches one response record per input text."""
+    """Batched embedding client; caches one response-log entry per input text.
+
+    An entry's response is `{"f64le": <base64 of the vector's little-endian
+    float64 bytes>}`, an exact round trip at under half the size of JSON
+    float text. The encoding is the entry's salt, so it is part of the key:
+    entries written in another form (earlier versions stored a JSON float
+    list under salt "") are misses. Their texts are embedded once more and
+    the old lines stay in the log as dead bytes; deleting the cache
+    directory reclaims them. A malformed entry raises ProviderError naming
+    its key.
+    """
+
+    ENCODING = "f64le"
 
     def __init__(
         self,
@@ -516,20 +532,23 @@ class EmbeddingClient:
         self.stats = ProviderStats()
 
     def _text_key(self, text: str) -> str:
-        return cache_key("/embeddings", {"model": self.model_tag, "input": [text]}, "")
+        return cache_key(
+            "/embeddings", {"model": self.model_tag, "input": [text]}, self.ENCODING
+        )
 
     def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
         if not texts:
             raise ProviderError("embed() called with an empty text list")
         out: list[EmbeddingVector | None] = [None] * len(texts)
+        keys = [self._text_key(text) for text in texts]
         pending: list[int] = []
-        for i, text in enumerate(texts):
+        for i, key in enumerate(keys):
             self.stats.bump("requests")
             if self.cache is not None:
-                body = self.cache.get(self._text_key(text))
+                body = self.cache.get(key)
                 if body is not None:
                     self.stats.bump("cache_hits")
-                    out[i] = EmbeddingVector.from_values(body["data"][0]["embedding"])
+                    out[i] = _decode_vector(body, key)
                     continue
             pending.append(i)
         for start in range(0, len(pending), self.cfg.embed_batch_size):
@@ -538,13 +557,15 @@ class EmbeddingClient:
             for i, vector in zip(batch, vectors):
                 out[i] = vector
                 if self.cache is not None:
-                    self.cache.put(
-                        self._text_key(texts[i]),
-                        "/embeddings",
-                        "",
-                        {"data": [{"index": 0, "embedding": vector.values.tolist()}]},
-                    )
-        return [v for v in out if v is not None]
+                    self.cache.put(keys[i], "/embeddings", self.ENCODING, _encode_vector(vector))
+        vectors = [v for v in out if v is not None]
+        for i, vector in enumerate(vectors):
+            if vector.dim != vectors[0].dim:
+                raise ProviderError(
+                    f"embedding dimension mismatch: entry {keys[i]} has {vector.dim}, "
+                    f"entry {keys[0]} has {vectors[0].dim}"
+                )
+        return vectors
 
     def _embed_batch(self, batch: list[str]) -> list[EmbeddingVector]:
         payload = {"model": self.model_tag, "input": batch}
@@ -569,6 +590,20 @@ class EmbeddingClient:
             except (KeyError, TypeError) as exc:
                 raise ProviderError(f"malformed embedding response: {exc!r}") from exc
         raise ProviderError(f"embedding request failed: {last_error}") from last_error
+
+
+def _encode_vector(vector: EmbeddingVector) -> dict[str, str]:
+    raw = vector.values.astype("<f8", copy=False).tobytes()
+    return {EmbeddingClient.ENCODING: base64.b64encode(raw).decode("ascii")}
+
+
+def _decode_vector(body: dict[str, Any], key: str) -> EmbeddingVector:
+    """The vector of a cached embedding entry; a malformed entry is an error naming its key."""
+    try:
+        raw = base64.b64decode(body[EmbeddingClient.ENCODING], validate=True)
+        return EmbeddingVector.from_values(np.frombuffer(raw, dtype="<f8"))
+    except (KeyError, TypeError, ValueError) as exc:  # bad base64, length or vector
+        raise ProviderError(f"malformed embedding cache entry {key}: {exc}") from exc
 
 
 class ProviderStats:

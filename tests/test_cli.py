@@ -54,6 +54,25 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "typo,path",
+    [
+        ({"pairing": {"tua": 0.5}}, "pairing.tua"),
+        ({"providers": {"models": {"embeder": "bge-m3"}}}, "providers.models.embeder"),
+    ],
+)
+def test_nested_config_typo_is_usage_error_naming_its_path(tmp_path, capsys, typo, path):
+    config_path, _ = make_run(tmp_path, typo)
+    assert cli.main(["pair", "--config", str(config_path)]) == cli.EXIT_USAGE
+    assert f"unknown config keys: ['{path}']" in capsys.readouterr().err
+
+
+def test_non_object_config_section_is_usage_error(tmp_path, capsys):
+    config_path, _ = make_run(tmp_path, {"pairing": 0.8})
+    assert cli.main(["pair", "--config", str(config_path)]) == cli.EXIT_USAGE
+    assert "pairing must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "overrides,fragment",
     [
         ({"pairing": {"tau": 1.5}}, "tau"),

@@ -1,6 +1,7 @@
 """Provider layer: caching, retries, mock determinism, batching, and concurrency."""
 from __future__ import annotations
 
+import base64
 import json
 import sys
 import threading
@@ -316,6 +317,122 @@ def test_embeddings_batched_ordered_and_cached(tmp_path):
     again = warm.embed(texts + ["one brand new text"])
     assert warm_transport.calls == 1  # only the new text goes out
     assert len(again) == 6
+
+
+class _VectorTransport:
+    """Answers /embeddings with fixed vectors per text; counts calls."""
+
+    def __init__(self, vectors: dict[str, list[float]]):
+        self.vectors = vectors
+        self.calls = 0
+
+    def request(self, path, payload, salt=""):
+        self.calls += 1
+        data = [{"index": i, "embedding": self.vectors[t]} for i, t in enumerate(payload["input"])]
+        return {"data": data}
+
+
+def test_embedding_entries_round_trip_bitwise_through_a_fresh_cache(tmp_path):
+    vectors = {
+        "negative zero": [-0.0, 1.0, -0.5],
+        "subnormal": [5e-324, -1.0, 0.25],
+        "huge": [1e308, -1e308, 0.1],
+        "plain": mock_embedding("plain", dim=3),
+    }
+    client = EmbeddingClient(_VectorTransport(vectors), "bge-test", cache=ResponseCache(tmp_path))
+    texts = list(vectors)
+    # The norm of a vector holding 1e308 overflows; this test is about the stored bytes.
+    with np.errstate(over="ignore"):
+        client.embed(texts)
+        client.cache.close()
+        fresh = EmbeddingClient(_VectorTransport({}), "bge-test", cache=ResponseCache(tmp_path))
+        loaded = fresh.embed(texts)
+    assert fresh.transport.calls == 0
+    for text, vector in zip(texts, loaded):
+        assert vector.values.tobytes() == np.array(vectors[text], dtype="<f8").tobytes()
+    lines = fresh.cache.path.read_bytes().splitlines()
+    record = json.loads(lines[0].split(b"\t", 1)[1])
+    assert record["salt"] == EmbeddingClient.ENCODING
+    assert set(record["response"]) == {EmbeddingClient.ENCODING}
+    fresh.cache.close()
+
+
+def test_json_float_embedding_entries_are_misses_and_stay_in_the_log(tmp_path):
+    texts = [f"embedding probe text {i}" for i in range(3)]
+    old = ResponseCache(tmp_path)
+    for text in texts:
+        old_key = cache_key("/embeddings", {"model": "bge-test", "input": [text]}, "")
+        body = {"data": [{"index": 0, "embedding": mock_embedding(text)}]}
+        old.put(old_key, "/embeddings", "", body)
+    old.close()
+    old_bytes = old.path.read_bytes()
+
+    cfg = ProviderConfig(embed_batch_size=1)
+    transport = MockTransport()
+    client = EmbeddingClient(transport, "bge-test", cfg, ResponseCache(tmp_path))
+    vectors = client.embed(texts)
+    client.cache.close()
+    assert transport.calls == len(texts)
+    assert client.stats.snapshot()["cache_hits"] == 0
+    log = client.cache.path.read_bytes()
+    assert log.startswith(old_bytes) and log.count(b"\n") == 2 * len(texts)
+
+    warm_transport = MockTransport()
+    warm = EmbeddingClient(warm_transport, "bge-test", cfg, ResponseCache(tmp_path))
+    again = warm.embed(texts)
+    warm.cache.close()
+    assert warm_transport.calls == 0
+    for before, after in zip(vectors, again):
+        assert after.values.tobytes() == before.values.tobytes()
+
+
+def _b64(raw: bytes) -> str:
+    return base64.b64encode(raw).decode("ascii")
+
+
+@pytest.mark.parametrize(
+    "response",
+    [
+        {"f64le": "not base64!"},
+        {"f64le": _b64(b"\x00" * 12)},  # not a whole number of float64s
+        {"f64le": _b64(np.zeros(3).tobytes())},  # zero norm
+        {"f64le": _b64(np.array([1.0, np.nan]).tobytes())},
+        {"data": [{"index": 0, "embedding": [1.0, 0.0]}]},  # no f64le field
+    ],
+)
+def test_malformed_embedding_entry_is_an_error_naming_its_key(tmp_path, response):
+    client = EmbeddingClient(MockTransport(), "bge-test", cache=ResponseCache(tmp_path))
+    key = client._text_key("probe")
+    client.cache.put(key, "/embeddings", EmbeddingClient.ENCODING, response)
+    with pytest.raises(ProviderError, match=key):
+        client.embed(["probe"])
+    client.cache.close()
+
+
+def test_embedding_entry_of_another_dimension_is_an_error_naming_its_key(tmp_path):
+    client = EmbeddingClient(MockTransport(dim=4), "bge-test", cache=ResponseCache(tmp_path))
+    client.embed(["first", "second"])
+    odd_key = client._text_key("second")
+    odd = {EmbeddingClient.ENCODING: _b64(np.ones(3).tobytes())}
+    client.cache.put(odd_key, "/embeddings", EmbeddingClient.ENCODING, odd)
+    with pytest.raises(ProviderError, match=f"{odd_key} has 3, .* has 4"):
+        client.embed(["first", "second"])
+    client.cache.close()
+
+
+def test_malformed_embedding_entry_makes_the_cli_exit_1(tmp_path, capsys):
+    config_path, out = make_run(tmp_path)
+    assert cli.main(["pair", "--config", str(config_path)]) == cli.EXIT_OK
+    question = json.loads((tmp_path / "seeds.jsonl").read_text().splitlines()[0])["question"]
+    embedder = cli.DEFAULTS["providers"]["models"]["embedder"]
+    key = EmbeddingClient(None, embedder)._text_key(question)
+    cache = ResponseCache(out / "cache" / "responses")
+    cache.put(key, "/embeddings", EmbeddingClient.ENCODING, {"f64le": "%%%"})
+    cache.close()
+    capsys.readouterr()
+    assert cli.main(["pair", "--config", str(config_path)]) == cli.EXIT_FATAL
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed embedding cache entry " + key)
 
 
 def test_embed_empty_list_is_an_error():
