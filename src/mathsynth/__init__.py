@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "cli",
+    "config",
     "corpus",
     "curriculum",
     "jsonl",

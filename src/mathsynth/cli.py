@@ -11,6 +11,7 @@ excluded from that guarantee.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -18,6 +19,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from . import jsonl
+from .config import ConfigError, RunConfig, load_run_config
 from .corpus import Corpus, load_corpus
 from .curriculum import (
     GradedItem,
@@ -28,13 +30,12 @@ from .curriculum import (
     save_scores,
     score_difficulty,
 )
-from .pairing import PairingConfig, build_pairs, embed_corpus, load_pairs, save_pairs
+from .pairing import build_pairs, embed_corpus, load_pairs, save_pairs
 from .providers import (
     ChatClient,
     EmbeddingClient,
     HttpTransport,
     MockTransport,
-    ProviderConfig,
     ProviderError,
     ResponseCache,
 )
@@ -46,9 +47,8 @@ from .quality import (
     save_verdicts,
     verify_dataset,
 )
-from .solver import GateConfig, SamplingParams, save_gate_reports, save_solutions, solve_dataset
+from .solver import save_gate_reports, save_solutions, solve_dataset
 from .synthesis import (
-    DifficultyRules,
     load_questions,
     original_records,
     save_questions,
@@ -61,133 +61,11 @@ EXIT_FATAL = 1
 EXIT_USAGE = 2
 EXIT_PARTIAL = 3
 
-DEFAULTS: dict[str, Any] = {
-    "seed_corpora": [],
-    "out_dir": "run",
-    "seed": 0,
-    "pairing": {"tau": 0.8, "max_pairs_per_question": 5},
-    "synthesis": {
-        "templates": ["hybrid", "decomposed"],
-        "hybrid_offset": 1.0,
-        "temperature": 0.7,
-        "max_tokens": 4096,
-    },
-    "quality": {"sample_rate": 0.10, "review_seed": 0},
-    "solver": {
-        "require_boxed": True,
-        "max_duplicate_2gram_ratio": 0.60,
-        "max_duplicate_3gram_ratio": 0.40,
-        "max_consecutive_repeat": 10,
-        "max_attempts": 3,
-        "temperature": 0.6,
-        "top_p": 0.95,
-        "top_k": 40,
-        "min_p": 0.0,
-        "max_tokens": 32768,
-    },
-    "curriculum": {"grouping": 2, "use_scores": False, "blend": False, "allow_empty": False},
-    "providers": {
-        "mock": False,
-        "mock_dim": 64,
-        "base_url": "http://localhost:8000/v1",
-        "api_key_env": "MATHSYNTH_API_KEY",
-        "timeout": 120.0,
-        "max_retries": 3,
-        "backoff_base": 0.5,
-        "embed_batch_size": 64,
-        "max_in_flight": 8,
-        "models": {
-            "generator": "gpt-4o",
-            "verifier": "gpt-4o",
-            "solver": "qwq-32b",
-            "scorer": "gpt-4o",
-            "embedder": "bge-m3",
-        },
-    },
-}
-
 GENERATED_CATEGORIES = ("hybrid", "decomposed", "original")
-
-
-class ConfigError(ValueError):
-    """The run configuration file is missing, malformed, or inconsistent."""
 
 
 class PrerequisiteError(RuntimeError):
     """A command needs an artifact an earlier command has not produced yet."""
-
-
-def _deep_merge(base: dict[str, Any], override: dict[str, Any]) -> dict[str, Any]:
-    merged = dict(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key] = _deep_merge(merged[key], value)
-        else:
-            merged[key] = value
-    return merged
-
-
-def _unknown_keys(defaults: dict[str, Any], loaded: dict[str, Any], prefix: str = "") -> list[str]:
-    """Dotted paths of keys in `loaded` that `defaults` lacks, at every dict level."""
-    unknown = []
-    for key, value in loaded.items():
-        if key not in defaults:
-            unknown.append(prefix + key)
-        elif isinstance(defaults[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{prefix + key} must be a JSON object")
-            unknown += _unknown_keys(defaults[key], value, f"{prefix}{key}.")
-    return unknown
-
-
-def load_run_config(path: str | Path) -> dict[str, Any]:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        loaded = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(loaded, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    unknown = _unknown_keys(DEFAULTS, loaded)
-    if unknown:
-        raise ConfigError(f"{path}: unknown config keys: {sorted(unknown)}")
-    return _deep_merge(DEFAULTS, loaded)
-
-
-def validate_config(cfg: dict[str, Any]) -> None:
-    corpora = cfg["seed_corpora"]
-    if not corpora:
-        raise ConfigError("seed_corpora must list at least one {path, tag} entry")
-    tags = []
-    for entry in corpora:
-        if not isinstance(entry, dict) or "path" not in entry:
-            raise ConfigError(f"seed corpus entries need a 'path': {entry!r}")
-        if not Path(entry["path"]).exists():
-            raise ConfigError(f"seed corpus file not found: {entry['path']}")
-        tag = entry.get("tag") or Path(entry["path"]).stem
-        if not tag.replace("-", "").replace("_", "").isalnum():
-            raise ConfigError(f"corpus tag must be filesystem-safe, got {tag!r}")
-        tags.append(tag)
-    if len(set(tags)) != len(tags):
-        raise ConfigError(f"corpus tags must be unique, got {tags}")
-    if not 0.0 < cfg["pairing"]["tau"] < 1.0:
-        raise ConfigError(f"pairing.tau must be in (0, 1), got {cfg['pairing']['tau']}")
-    if not 0.0 < cfg["quality"]["sample_rate"] <= 1.0:
-        raise ConfigError("quality.sample_rate must be in (0, 1]")
-    if cfg["curriculum"]["grouping"] < 1:
-        raise ConfigError("curriculum.grouping must be at least 1")
-    for template in cfg["synthesis"]["templates"]:
-        if template not in ("hybrid", "decomposed"):
-            raise ConfigError(f"unknown synthesis template {template!r}")
-    if not cfg["synthesis"]["templates"]:
-        raise ConfigError("synthesis.templates must enable at least one template")
-    missing_models = {"generator", "verifier", "solver", "scorer", "embedder"} - set(
-        cfg["providers"]["models"]
-    )
-    if missing_models:
-        raise ConfigError(f"providers.models missing roles: {sorted(missing_models)}")
 
 
 class TagPaths:
@@ -218,39 +96,25 @@ class TagPaths:
 class Pipeline:
     """Shared runtime state for one invocation: config, clients, and paths."""
 
-    def __init__(self, cfg: dict[str, Any], out_dir: Path, resume: bool = False):
+    def __init__(self, cfg: RunConfig, out_dir: Path, resume: bool = False):
         self.cfg = cfg
         self.out = out_dir
         self.resume = resume
-        p = cfg["providers"]
-        self.provider_cfg = ProviderConfig(
-            base_url=p["base_url"],
-            api_key_env=p["api_key_env"],
-            timeout=p["timeout"],
-            max_retries=p["max_retries"],
-            backoff_base=p["backoff_base"],
-            embed_batch_size=p["embed_batch_size"],
-            max_in_flight=p["max_in_flight"],
-        )
-        if p["mock"]:
-            self.transport: Any = MockTransport(seed=cfg["seed"], dim=p["mock_dim"])
+        if cfg.providers.mock:
+            self.transport: Any = MockTransport(seed=cfg.seed, dim=cfg.providers.mock_dim)
         else:
-            self.transport = HttpTransport(self.provider_cfg)
+            self.transport = HttpTransport(cfg.providers)
         self.cache = ResponseCache(self.out / "cache" / "responses")
-        self.chat = ChatClient(self.transport, self.provider_cfg, self.cache)
-        self.models: dict[str, str] = p["models"]
-        self.max_in_flight: int = p["max_in_flight"]
-        self.templates: list[str] = cfg["synthesis"]["templates"]
+        self.chat = ChatClient(self.transport, cfg.providers, self.cache)
 
     def corpora(self) -> list[tuple[str, Corpus]]:
-        out = []
-        for entry in self.cfg["seed_corpora"]:
-            tag = entry.get("tag") or Path(entry["path"]).stem
-            out.append((tag, load_corpus(entry["path"], source_tag=tag)))
-        return out
+        return [
+            (entry.name, load_corpus(entry.path, source_tag=entry.name))
+            for entry in self.cfg.seed_corpora
+        ]
 
     def tags(self) -> list[str]:
-        return [e.get("tag") or Path(e["path"]).stem for e in self.cfg["seed_corpora"]]
+        return [entry.name for entry in self.cfg.seed_corpora]
 
     def paths(self, tag: str) -> TagPaths:
         return TagPaths(self.out, tag)
@@ -258,7 +122,11 @@ class Pipeline:
     def write_config_copy(self) -> None:
         # out_dir is omitted: it is wherever this copy sits, and pinning it
         # would make otherwise-identical runs differ byte-wise.
-        record = {k: v for k, v in self.cfg.items() if k != "out_dir"}
+        record = dataclasses.asdict(self.cfg)
+        del record["out_dir"]
+        for entry in record["seed_corpora"]:
+            if entry["tag"] is None:
+                del entry["tag"]
         self.out.mkdir(parents=True, exist_ok=True)
         target = self.out / "config.json"
         text = json.dumps(record, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
@@ -284,10 +152,6 @@ def _done(*paths: Path) -> bool:
 
 
 def cmd_pair(pipe: Pipeline) -> dict[str, Any]:
-    pcfg = PairingConfig(
-        tau=pipe.cfg["pairing"]["tau"],
-        max_pairs_per_question=pipe.cfg["pairing"]["max_pairs_per_question"],
-    )
     details: dict[str, Any] = {}
     for tag, corpus in pipe.corpora():
         paths = pipe.paths(tag)
@@ -295,10 +159,10 @@ def cmd_pair(pipe: Pipeline) -> dict[str, Any]:
             details[tag] = {"skipped": True}
             continue
         embedder = EmbeddingClient(
-            pipe.transport, pipe.models["embedder"], pipe.provider_cfg, pipe.cache
+            pipe.transport, pipe.cfg.providers.models.embedder, pipe.cfg.providers, pipe.cache
         )
         embeddings = embed_corpus(corpus, embedder)
-        pairs = build_pairs(corpus, embeddings, pcfg)
+        pairs = build_pairs(corpus, embeddings, pipe.cfg.pairing)
         save_pairs(pairs, paths.pairs)
         paired = len({qid for p in pairs for qid in (p.low.id, p.high.id)})
         details[tag] = {
@@ -310,13 +174,11 @@ def cmd_pair(pipe: Pipeline) -> dict[str, Any]:
 
 
 def cmd_generate(pipe: Pipeline) -> dict[str, Any]:
-    scfg = pipe.cfg["synthesis"]
-    rules = DifficultyRules(hybrid_offset=scfg["hybrid_offset"])
     failures = 0
     details: dict[str, Any] = {}
     for tag, corpus in pipe.corpora():
         paths = pipe.paths(tag)
-        targets = [paths.generated_file(t) for t in pipe.templates]
+        targets = [paths.generated_file(t) for t in pipe.cfg.synthesis.templates]
         targets.append(paths.generated_file("original"))
         if pipe.resume and _done(*targets):
             details[tag] = {"skipped": True}
@@ -324,17 +186,15 @@ def cmd_generate(pipe: Pipeline) -> dict[str, Any]:
         _require(paths.pairs, "pair")
         pairs = load_pairs(paths.pairs, corpus)
         tag_detail: dict[str, Any] = {}
-        for template in pipe.templates:
+        for template in pipe.cfg.synthesis.templates:
             result = synthesize_category(
                 corpus,
                 pairs,
                 template,
                 pipe.chat,
-                pipe.models["generator"],
-                rules=rules,
-                temperature=scfg["temperature"],
-                max_tokens=scfg["max_tokens"],
-                max_in_flight=pipe.max_in_flight,
+                pipe.cfg.providers.models.generator,
+                pipe.cfg.synthesis,
+                max_in_flight=pipe.cfg.providers.max_in_flight,
             )
             save_questions(result.questions, paths.generated_file(template))
             save_skip_report(
@@ -358,7 +218,7 @@ def cmd_verify(pipe: Pipeline) -> dict[str, Any]:
     details: dict[str, Any] = {}
     for tag in pipe.tags():
         paths = pipe.paths(tag)
-        targets = [paths.verified_file(t) for t in pipe.templates] + [
+        targets = [paths.verified_file(t) for t in pipe.cfg.synthesis.templates] + [
             paths.verified_file("original"),
             paths.verdicts,
         ]
@@ -368,15 +228,15 @@ def cmd_verify(pipe: Pipeline) -> dict[str, Any]:
         verdicts = []
         errors: list[tuple[str, str]] = []
         tag_detail: dict[str, Any] = {}
-        for template in pipe.templates:
+        for template in pipe.cfg.synthesis.templates:
             source = paths.generated_file(template)
             _require(source, "generate")
             questions = load_questions(source)
             outcome = verify_dataset(
                 questions,
                 pipe.chat,
-                pipe.models["verifier"],
-                max_in_flight=pipe.max_in_flight,
+                pipe.cfg.providers.models.verifier,
+                max_in_flight=pipe.cfg.providers.max_in_flight,
             )
             save_questions(outcome.questions, paths.verified_file(template))
             verdicts.extend(outcome.verdicts)
@@ -402,20 +262,18 @@ def cmd_verify(pipe: Pipeline) -> dict[str, Any]:
 
 
 def cmd_review_export(pipe: Pipeline) -> dict[str, Any]:
-    qcfg = pipe.cfg["quality"]
+    qcfg = pipe.cfg.quality
     details: dict[str, Any] = {}
     for tag in pipe.tags():
         paths = pipe.paths(tag)
         texts: dict[str, str] = {}
-        for template in pipe.templates:
+        for template in pipe.cfg.synthesis.templates:
             source = paths.verified_file(template)
             _require(source, "verify")
             for q in load_questions(source):
                 if q.status == "verified":
                     texts[q.id] = q.question
-        batch = sample_for_review(
-            sorted(texts), rate=qcfg["sample_rate"], seed=qcfg["review_seed"]
-        )
+        batch = sample_for_review(sorted(texts), rate=qcfg.sample_rate, seed=qcfg.review_seed)
         export_review_batch(batch, texts, paths.review_batch)
         details[tag] = {"population": batch.population, "sampled": len(batch.items)}
     return {"failures": 0, "details": details}
@@ -428,12 +286,12 @@ def cmd_review_import(pipe: Pipeline) -> dict[str, Any]:
         _require(paths.review_batch, "review-export")
         batch = import_review_batch(paths.review_batch)
         merged = []
-        for template in pipe.templates:
+        for template in pipe.cfg.synthesis.templates:
             source = paths.verified_file(template)
             _require(source, "verify")
             merged.extend(load_questions(source))
         updated = apply_review(batch, merged)
-        for template in pipe.templates:
+        for template in pipe.cfg.synthesis.templates:
             save_questions(
                 [q for q in updated if q.category == template], paths.verified_file(template)
             )
@@ -445,21 +303,6 @@ def cmd_review_import(pipe: Pipeline) -> dict[str, Any]:
 
 
 def cmd_solve(pipe: Pipeline) -> dict[str, Any]:
-    solver_cfg = pipe.cfg["solver"]
-    gate_cfg = GateConfig(
-        require_boxed=solver_cfg["require_boxed"],
-        max_duplicate_2gram_ratio=solver_cfg["max_duplicate_2gram_ratio"],
-        max_duplicate_3gram_ratio=solver_cfg["max_duplicate_3gram_ratio"],
-        max_consecutive_repeat=solver_cfg["max_consecutive_repeat"],
-        max_attempts=solver_cfg["max_attempts"],
-        sampling=SamplingParams(
-            temperature=solver_cfg["temperature"],
-            top_p=solver_cfg["top_p"],
-            top_k=solver_cfg["top_k"],
-            min_p=solver_cfg["min_p"],
-            max_tokens=solver_cfg["max_tokens"],
-        ),
-    )
     failures = 0
     details: dict[str, Any] = {}
     for tag, corpus in pipe.corpora():
@@ -468,7 +311,7 @@ def cmd_solve(pipe: Pipeline) -> dict[str, Any]:
             details[tag] = {"skipped": True}
             continue
         questions = []
-        for template in pipe.templates:
+        for template in pipe.cfg.synthesis.templates:
             source = paths.verified_file(template)
             _require(source, "verify")
             questions.extend(q for q in load_questions(source) if q.status == "verified")
@@ -477,9 +320,9 @@ def cmd_solve(pipe: Pipeline) -> dict[str, Any]:
             questions,
             corpus.by_id(),
             pipe.chat,
-            pipe.models["solver"],
-            gate_cfg,
-            max_in_flight=pipe.max_in_flight,
+            pipe.cfg.providers.models.solver,
+            pipe.cfg.solver,
+            max_in_flight=pipe.cfg.providers.max_in_flight,
         )
         save_solutions(records, paths.solutions)
         save_gate_reports(records, paths.gate_reports)
@@ -501,7 +344,7 @@ def _graded_items(
         if record["status"] == "accepted":
             accepted[record["question_id"]] = record["solution"]
     items: list[GradedItem] = []
-    for template in pipe.templates:
+    for template in pipe.cfg.synthesis.templates:
         source = paths.verified_file(template)
         _require(source, "verify")
         for q in load_questions(source):
@@ -535,6 +378,7 @@ def _graded_items(
 
 
 def cmd_score(pipe: Pipeline) -> dict[str, Any]:
+    providers = pipe.cfg.providers
     failures = 0
     details: dict[str, Any] = {}
     for tag in pipe.tags():
@@ -544,7 +388,7 @@ def cmd_score(pipe: Pipeline) -> dict[str, Any]:
             continue
         items = _graded_items(pipe, tag, scores=None)
         scores, missing = score_difficulty(
-            items, pipe.chat, pipe.models["scorer"], max_in_flight=pipe.max_in_flight
+            items, pipe.chat, providers.models.scorer, max_in_flight=providers.max_in_flight
         )
         save_scores(scores, paths.scores)
         jsonl.write_records(
@@ -557,19 +401,19 @@ def cmd_score(pipe: Pipeline) -> dict[str, Any]:
 
 
 def cmd_curriculum(pipe: Pipeline) -> dict[str, Any]:
-    ccfg = pipe.cfg["curriculum"]
+    ccfg = pipe.cfg.curriculum
     details: dict[str, Any] = {}
     items_by_tag: dict[str, list[GradedItem]] = {}
     for tag in pipe.tags():
         paths = pipe.paths(tag)
         scores = None
-        if ccfg["use_scores"]:
+        if ccfg.use_scores:
             _require(paths.scores, "score")
             scores = load_scores(paths.scores)
         items = _graded_items(pipe, tag, scores)
         items_by_tag[tag] = items
-        plan = build_pure_curriculum(items, allow_empty=ccfg["allow_empty"])
-        manifest = export_sft_stages(plan, paths.curriculum, allow_empty=ccfg["allow_empty"])
+        plan = build_pure_curriculum(items, allow_empty=ccfg.allow_empty)
+        manifest = export_sft_stages(plan, paths.curriculum, allow_empty=ccfg.allow_empty)
         details[tag] = {
             "stages": [
                 {"name": s.name, "size": len(s.items), "mean": s.mean_difficulty}
@@ -577,17 +421,17 @@ def cmd_curriculum(pipe: Pipeline) -> dict[str, Any]:
             ],
             "manifest": str(manifest),
         }
-    if ccfg["blend"]:
+    if ccfg.blend:
         score_map: dict[str, float] = {}
         for items in items_by_tag.values():
             for item in items:
                 if item.difficulty_score is not None:
                     score_map[item.question_id] = item.difficulty_score
         plan = build_blended_curriculum(
-            list(items_by_tag.values()), score_map, grouping=ccfg["grouping"]
+            list(items_by_tag.values()), score_map, grouping=ccfg.grouping
         )
         blended_dir = pipe.out / "artifacts" / "blended" / "curriculum"
-        manifest = export_sft_stages(plan, blended_dir, allow_empty=ccfg["allow_empty"])
+        manifest = export_sft_stages(plan, blended_dir, allow_empty=ccfg.allow_empty)
         details["blended"] = {
             "stages": [
                 {
@@ -638,7 +482,7 @@ def cmd_run_all(pipe: Pipeline) -> dict[str, Any]:
         ("verify", cmd_verify),
         ("solve", cmd_solve),
     ]
-    if pipe.cfg["curriculum"]["use_scores"]:
+    if pipe.cfg.curriculum.use_scores:
         steps.append(("score", cmd_score))
     steps.extend([("curriculum", cmd_curriculum), ("stats", cmd_stats)])
     failures = 0
@@ -724,15 +568,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_run_config(args.config)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        if args.mock:
-            cfg["providers"]["mock"] = True
-        validate_config(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    out_dir = Path(args.out) if args.out else Path(cfg["out_dir"])
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, seed=args.seed)
+    if args.mock:
+        cfg = dataclasses.replace(cfg, providers=dataclasses.replace(cfg.providers, mock=True))
+    out_dir = Path(args.out) if args.out else Path(cfg.out_dir)
     try:
         # Opening the pipeline loads the response cache, which rejects a
         # corrupt log with a ValueError.

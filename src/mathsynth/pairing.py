@@ -47,8 +47,8 @@ class EmbeddingVector:
             raise PairingError("embedding contains non-finite values")
         object.__setattr__(self, "values", values)
         actual = float(np.linalg.norm(values))
-        if actual <= 0.0:
-            raise PairingError("zero-norm embedding rejected")
+        if not 0.0 < actual < np.inf:  # zero, or overflowed from finite components
+            raise PairingError(f"embedding norm must be positive and finite, got {actual}")
         if abs(actual - self.norm) > 1e-9 * actual:
             raise PairingError("cached norm does not match the vector")
 
@@ -65,8 +65,8 @@ class EmbeddingVector:
 def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
     """Cosine of the angle between two embeddings: dot(a,b) / (|a| |b|).
 
-    Symmetric by evaluation order; raises on dimension mismatch. Zero-norm
-    inputs cannot occur (EmbeddingVector rejects them at construction).
+    Symmetric by evaluation order; raises on dimension mismatch. Zero and
+    overflowing norms cannot occur (EmbeddingVector rejects them at construction).
     """
     if a.dim != b.dim:
         raise PairingError(f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -103,6 +103,8 @@ class QuestionPair:
 
 @dataclass(frozen=True)
 class PairingConfig:
+    """The `pairing` config section."""
+
     tau: float = 0.8
     max_pairs_per_question: int | None = 5
 

@@ -46,7 +46,22 @@ class TransportError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class ModelRoles:
+    """The model name each pipeline role requests."""
+
+    generator: str = "gpt-4o"
+    verifier: str = "gpt-4o"
+    solver: str = "qwq-32b"
+    scorer: str = "gpt-4o"
+    embedder: str = "bge-m3"
+
+
+@dataclass(frozen=True)
 class ProviderConfig:
+    """The `providers` config section: which transport, how to reach it, how hard to push."""
+
+    mock: bool = False
+    mock_dim: int = 64
     base_url: str = "http://localhost:8000/v1"
     api_key_env: str = "MATHSYNTH_API_KEY"
     timeout: float = 120.0
@@ -54,14 +69,12 @@ class ProviderConfig:
     backoff_base: float = 0.5
     embed_batch_size: int = 64
     max_in_flight: int = 8
+    models: ModelRoles = ModelRoles()
 
     def __post_init__(self) -> None:
-        if self.max_retries < 1:
-            raise ValueError("max_retries must be at least 1")
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be at least 1")
-        if self.embed_batch_size < 1:
-            raise ValueError("embed_batch_size must be at least 1")
+        for name in ("mock_dim", "max_retries", "embed_batch_size", "max_in_flight"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 def canonical_json(payload: dict[str, Any]) -> str:
@@ -470,25 +483,36 @@ class ChatClient:
                     content=_extract_content(body, key), cached=True, attempts=0, key=key
                 )
         payload = request.payload()
-        last_error: Exception | None = None
-        for attempt in range(1, self.cfg.max_retries + 1):
-            self.stats.bump("transport_calls")
-            try:
-                body = self.transport.request("/chat/completions", payload, request.cache_salt)
-                content = _extract_content(body, key)
-            except TransportError as exc:
-                last_error = exc
-                if not exc.retryable or attempt == self.cfg.max_retries:
-                    break
-                self.stats.bump("retries")
-                time.sleep(self.cfg.backoff_base * (2 ** (attempt - 1)))
-                continue
-            if self.cache is not None:
-                self.cache.put(key, "/chat/completions", request.cache_salt, body)
-            return ChatResponse(content=content, cached=False, attempts=attempt, key=key)
-        raise ProviderError(
-            f"chat completion failed after {self.cfg.max_retries} attempts: {last_error}"
-        ) from last_error
+
+        def attempt_once() -> tuple[dict[str, Any], str]:
+            body = self.transport.request("/chat/completions", payload, request.cache_salt)
+            return body, _extract_content(body, key)
+
+        failure = f"chat completion failed after {self.cfg.max_retries} attempts"
+        (body, content), attempt = _with_retries(attempt_once, self.cfg, self.stats, failure)
+        if self.cache is not None:
+            self.cache.put(key, "/chat/completions", request.cache_salt, body)
+        return ChatResponse(content=content, cached=False, attempts=attempt, key=key)
+
+
+def _with_retries(
+    call: Callable[[], R], cfg: ProviderConfig, stats: ProviderStats, failure: str
+) -> tuple[R, int]:
+    """`call()` and the attempt that returned it, out of at most `cfg.max_retries`.
+
+    A retryable TransportError sleeps `backoff_base * 2**(attempt - 1)` and
+    tries again; a non-retryable one, or the last, becomes a ProviderError
+    reading `failure: <error>`. Any other exception propagates untouched.
+    """
+    for attempt in range(1, cfg.max_retries + 1):
+        stats.bump("transport_calls")
+        try:
+            return call(), attempt
+        except TransportError as exc:
+            if not exc.retryable or attempt == cfg.max_retries:
+                raise ProviderError(f"{failure}: {exc}") from exc
+            stats.bump("retries")
+            time.sleep(cfg.backoff_base * (2 ** (attempt - 1)))
 
 
 def _extract_content(body: dict[str, Any], key: str) -> str:
@@ -569,9 +593,8 @@ class EmbeddingClient:
 
     def _embed_batch(self, batch: list[str]) -> list[EmbeddingVector]:
         payload = {"model": self.model_tag, "input": batch}
-        last_error: Exception | None = None
-        for attempt in range(1, self.cfg.max_retries + 1):
-            self.stats.bump("transport_calls")
+
+        def attempt_once() -> list[EmbeddingVector]:
             try:
                 body = self.transport.request("/embeddings", payload, "")
                 data = sorted(body["data"], key=lambda d: d["index"])
@@ -581,15 +604,10 @@ class EmbeddingClient:
                         retryable=True,
                     )
                 return [EmbeddingVector.from_values(d["embedding"]) for d in data]
-            except TransportError as exc:
-                last_error = exc
-                if not exc.retryable or attempt == self.cfg.max_retries:
-                    break
-                self.stats.bump("retries")
-                time.sleep(self.cfg.backoff_base * (2 ** (attempt - 1)))
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError) as exc:  # not retried
                 raise ProviderError(f"malformed embedding response: {exc!r}") from exc
-        raise ProviderError(f"embedding request failed: {last_error}") from last_error
+
+        return _with_retries(attempt_once, self.cfg, self.stats, "embedding request failed")[0]
 
 
 def _encode_vector(vector: EmbeddingVector) -> dict[str, str]:

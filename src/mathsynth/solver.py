@@ -8,7 +8,7 @@ repetition thresholds; failing attempts are regenerated up to a bound.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -27,32 +27,28 @@ class SolverError(ValueError):
 
 
 @dataclass(frozen=True)
-class SamplingParams:
+class GateConfig:
+    """The `solver` config section: gate thresholds, attempt budget and sampling."""
+
+    require_boxed: bool = True
+    max_duplicate_2gram_ratio: float = 0.60
+    max_duplicate_3gram_ratio: float = 0.40
+    max_consecutive_repeat: int = 10
+    max_attempts: int = 3
     temperature: float = 0.6
     top_p: float = 0.95
     top_k: int = 40
     min_p: float = 0.0
     max_tokens: int = 32768
 
-
-@dataclass(frozen=True)
-class GateConfig:
-    require_boxed: bool = True
-    max_duplicate_2gram_ratio: float = 0.60
-    max_duplicate_3gram_ratio: float = 0.40
-    max_consecutive_repeat: int = 10
-    max_attempts: int = 3
-    sampling: SamplingParams = field(default_factory=SamplingParams)
-
     def __post_init__(self) -> None:
         for name in ("max_duplicate_2gram_ratio", "max_duplicate_3gram_ratio"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise SolverError(f"{name} must be in [0, 1], got {value}")
-        if self.max_attempts < 1:
-            raise SolverError("max_attempts must be at least 1")
-        if self.max_consecutive_repeat < 1:
-            raise SolverError("max_consecutive_repeat must be at least 1")
+        for name in ("max_consecutive_repeat", "max_attempts"):
+            if getattr(self, name) < 1:
+                raise SolverError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 def extract_boxed(text: str) -> str | None:
@@ -246,11 +242,11 @@ def solve_with_gates(
         request = ChatRequest.user(
             model,
             prompt,
-            temperature=cfg.sampling.temperature,
-            max_tokens=cfg.sampling.max_tokens,
-            top_p=cfg.sampling.top_p,
-            top_k=cfg.sampling.top_k,
-            min_p=cfg.sampling.min_p,
+            temperature=cfg.temperature,
+            max_tokens=cfg.max_tokens,
+            top_p=cfg.top_p,
+            top_k=cfg.top_k,
+            min_p=cfg.min_p,
             cache_salt=f"solve:{question.id}:{attempt}",
         )
         try:

@@ -92,39 +92,28 @@ class SynthesizedQuestion:
 
 
 @dataclass(frozen=True)
-class DifficultyRules:
-    """Knobs for the nominal-difficulty formulas; defaults match the worked anchors."""
+class SynthesisConfig:
+    """The `synthesis` config section; the hybrid_offset default matches the worked anchors."""
 
+    templates: tuple[str, ...] = GENERATION_TEMPLATES
     hybrid_offset: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.hybrid_offset < 0:
-            raise SynthesisError("hybrid_offset must be non-negative")
-
-
-@dataclass(frozen=True)
-class GenerationRequest:
-    template: str
-    pair: QuestionPair
     temperature: float = 0.7
     max_tokens: int = 4096
 
     def __post_init__(self) -> None:
-        if self.template not in GENERATION_TEMPLATES:
-            raise SynthesisError(f"unknown template {self.template!r}")
+        if not self.templates:
+            raise SynthesisError("templates must enable at least one template")
+        for template in self.templates:
+            if template not in GENERATION_TEMPLATES:
+                raise SynthesisError(
+                    f"templates must come from {GENERATION_TEMPLATES}, got {template!r}"
+                )
+        if self.hybrid_offset < 0:
+            raise SynthesisError(f"hybrid_offset must be non-negative, got {self.hybrid_offset}")
         if not 0.0 <= self.temperature <= 2.0:
-            raise SynthesisError(f"temperature out of range: {self.temperature}")
+            raise SynthesisError(f"temperature must be in [0, 2], got {self.temperature}")
         if self.max_tokens < 1:
-            raise SynthesisError("max_tokens must be positive")
-
-    def to_chat_request(self, model: str, cache_salt: str = "") -> ChatRequest:
-        return ChatRequest.user(
-            model,
-            render_generation_prompt(self.template, self.pair),
-            temperature=self.temperature,
-            max_tokens=self.max_tokens,
-            cache_salt=cache_salt,
-        )
+            raise SynthesisError(f"max_tokens must be positive, got {self.max_tokens}")
 
 
 def multiple_choice_markers(text: str) -> list[str]:
@@ -159,20 +148,20 @@ def nominal_difficulty(
     category: str,
     d_low: float,
     d_high: float,
-    rules: DifficultyRules | None = None,
+    cfg: SynthesisConfig | None = None,
 ) -> float:
     """Difficulty metadata for a synthesized question, from its parents' labels.
 
-    hybrid targets above the harder parent (d_high + offset); decomposed
-    targets between the parents (floor of the mean, clamped to d_low so the
-    bound survives fractional labels). These labels drive curriculum ordering
-    only; they are not measurements.
+    hybrid targets above the harder parent (d_high + cfg.hybrid_offset);
+    decomposed targets between the parents (floor of the mean, clamped to
+    d_low so the bound survives fractional labels). These labels drive
+    curriculum ordering only; they are not measurements.
     """
-    rules = rules or DifficultyRules()
+    cfg = cfg or SynthesisConfig()
     if not d_low < d_high:
         raise SynthesisError(f"need d_low < d_high, got {d_low} and {d_high}")
     if category == "hybrid":
-        return float(d_high) + rules.hybrid_offset
+        return float(d_high) + cfg.hybrid_offset
     if category == "decomposed":
         return max(float(d_low), float(math.floor((d_low + d_high) / 2)))
     raise SynthesisError(f"no difficulty formula for category {category!r}")
@@ -198,29 +187,32 @@ def synthesize_category(
     template: str,
     client: ChatClient,
     model: str,
+    cfg: SynthesisConfig | None = None,
     *,
-    rules: DifficultyRules | None = None,
-    temperature: float = 0.7,
-    max_tokens: int = 4096,
     max_in_flight: int = 8,
 ) -> SynthesisResult:
     """Generate one question per pairable seed; one salted retry on parse failure."""
     if template not in GENERATION_TEMPLATES:
         raise SynthesisError(f"unknown template {template!r}")
+    cfg = cfg or SynthesisConfig()
     seeds = sorted(corpus.problems, key=lambda p: p.id)
 
     def run_one(seed: SeedProblem) -> tuple[str, Any]:
         pair = select_generation_pair(seed, pairs)
         if pair is None:
             return ("skip", (seed.id, "no pair above the similarity threshold"))
-        request = GenerationRequest(
-            template=template, pair=pair, temperature=temperature, max_tokens=max_tokens
-        )
+        prompt = render_generation_prompt(template, pair)
         last_reason = ""
         for attempt in (1, 2):
-            salt = f"gen:{template}:{seed.id}:{attempt}"
+            request = ChatRequest.user(
+                model,
+                prompt,
+                temperature=cfg.temperature,
+                max_tokens=cfg.max_tokens,
+                cache_salt=f"gen:{template}:{seed.id}:{attempt}",
+            )
             try:
-                response = client.complete(request.to_chat_request(model, cache_salt=salt))
+                response = client.complete(request)
             except ProviderError as exc:
                 return ("fail", (seed.id, f"provider: {exc}"))
             try:
@@ -233,7 +225,7 @@ def synthesize_category(
                 question=body,
                 category=template,
                 nominal_difficulty=nominal_difficulty(
-                    template, pair.low.difficulty, pair.high.difficulty, rules
+                    template, pair.low.difficulty, pair.high.difficulty, cfg
                 ),
                 parent_low_id=pair.low.id,
                 parent_high_id=pair.high.id,

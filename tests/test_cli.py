@@ -11,6 +11,15 @@ from conftest import topic_pair_corpus, write_corpus_file
 from mathsynth.providers import MockTransport
 
 
+def merged(base, override):
+    """`override` laid over `base`: objects merge by key, arrays item by item."""
+    if isinstance(base, dict) and isinstance(override, dict):
+        return {**base, **{key: merged(base.get(key), value) for key, value in override.items()}}
+    if isinstance(base, list) and isinstance(override, list):
+        return [merged(base[i], o) if i < len(base) else o for i, o in enumerate(override)]
+    return override
+
+
 def make_run(tmp_path: Path, overrides: dict | None = None, n_topics: int = 10):
     """Write a seeds file plus config; returns (config_path, out_dir)."""
     corpus = topic_pair_corpus(n_topics=n_topics)
@@ -21,7 +30,7 @@ def make_run(tmp_path: Path, overrides: dict | None = None, n_topics: int = 10):
         "providers": {"mock": True},
     }
     if overrides:
-        cfg = cli._deep_merge(cfg, overrides)
+        cfg = merged(cfg, overrides)
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(cfg, indent=2), encoding="utf-8")
     return config_path, tmp_path / "out"
@@ -81,12 +90,28 @@ def test_non_object_config_section_is_usage_error(tmp_path, capsys):
         ({"synthesis": {"templates": ["mashup"]}}, "mashup"),
         ({"synthesis": {"templates": []}}, "template"),
         ({"seed_corpora": [{"path": "/does/not/exist.jsonl", "tag": "x"}]}, "not found"),
+        # wrong JSON types, including a bool where an integer belongs
+        ({"pairing": {"tau": "0.8"}}, "pairing.tau must be a number, got \"0.8\""),
+        ({"curriculum": {"grouping": "2"}}, "curriculum.grouping must be an integer"),
+        ({"curriculum": {"use_scores": "no"}}, "curriculum.use_scores must be true or false"),
+        ({"seed": True}, "seed must be an integer, got true"),
+        ({"seed_corpora": [{"tag": 5}]}, "seed_corpora[0].tag must be a string, got 5"),
+        ({"providers": {"models": {"solver": None}}}, "providers.models.solver must be a string"),
+        ({"seed_corpora": [{"tga": "x"}]}, "unknown config keys: ['seed_corpora[0].tga']"),
+        # out of range: checked at load, not when the stage that reads it runs
+        ({"solver": {"max_attempts": 0}}, "solver.max_attempts must be at least 1"),
+        ({"solver": {"max_duplicate_2gram_ratio": 1.5}}, "solver.max_duplicate_2gram_ratio"),
+        ({"synthesis": {"temperature": 5}}, "synthesis.temperature must be in [0, 2]"),
+        ({"synthesis": {"hybrid_offset": -1}}, "synthesis.hybrid_offset must be non-negative"),
+        ({"providers": {"max_in_flight": 0}}, "providers.max_in_flight must be at least 1"),
     ],
 )
 def test_invalid_values_are_usage_errors(tmp_path, capsys, overrides, fragment):
-    config_path, _ = make_run(tmp_path, overrides)
-    assert cli.main(["stats", "--config", str(config_path)]) == cli.EXIT_USAGE
-    assert fragment in capsys.readouterr().err
+    config_path, out = make_run(tmp_path, overrides)
+    assert cli.main(["run-all", "--config", str(config_path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and fragment in err
+    assert not (out / "reports").exists()
 
 
 def test_duplicate_tags_are_usage_errors(tmp_path, capsys):

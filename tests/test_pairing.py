@@ -135,6 +135,9 @@ def test_embedding_vector_validation():
         EmbeddingVector.from_values([[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(PairingError):
         EmbeddingVector(values=np.array([1.0, 0.0]), norm=2.0)
+    # each component is finite, but the norm overflows to inf
+    with np.errstate(over="ignore"), pytest.raises(PairingError, match="finite, got inf"):
+        EmbeddingVector.from_values([1e308, 1.0])
 
 
 # --- pair semantics --------------------------------------------------------

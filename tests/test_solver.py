@@ -13,7 +13,6 @@ from mathsynth.corpus import SeedProblem
 from mathsynth.providers import TransportError
 from mathsynth.solver import (
     GateConfig,
-    SamplingParams,
     SolutionRecord,
     SolverError,
     check_gates,
@@ -124,7 +123,6 @@ def test_gate_config_validation():
         GateConfig(max_attempts=0)
     with pytest.raises(SolverError):
         GateConfig(max_consecutive_repeat=0)
-    assert GateConfig().sampling == SamplingParams()
 
 
 def test_clean_solution_passes():

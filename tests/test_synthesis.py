@@ -18,8 +18,8 @@ from mathsynth.prompts import (
 )
 from mathsynth.providers import TransportError, mock_embedding
 from mathsynth.synthesis import (
-    DifficultyRules,
     GenerationParseError,
+    SynthesisConfig,
     SynthesisError,
     SynthesizedQuestion,
     load_questions,
@@ -143,7 +143,7 @@ def test_difficulty_anchor_values():
 
 
 def test_difficulty_edge_cases():
-    assert nominal_difficulty("hybrid", 4.0, 7.0, DifficultyRules(hybrid_offset=2.0)) == 9.0
+    assert nominal_difficulty("hybrid", 4.0, 7.0, SynthesisConfig(hybrid_offset=2.0)) == 9.0
     # fractional labels: the floored midpoint may drop below the easier
     # parent; the label is clamped so ordering survives
     assert nominal_difficulty("decomposed", 4.6, 4.9) == 4.6
@@ -154,7 +154,7 @@ def test_difficulty_edge_cases():
     with pytest.raises(SynthesisError):
         nominal_difficulty("original", 4.0, 7.0)
     with pytest.raises(SynthesisError):
-        DifficultyRules(hybrid_offset=-0.5)
+        SynthesisConfig(hybrid_offset=-0.5)
 
 
 @settings(max_examples=200, deadline=None)
