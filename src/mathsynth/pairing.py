@@ -197,6 +197,10 @@ def _cap_per_question(pairs: list[QuestionPair], cap: int) -> list[QuestionPair]
     ]
 
 
+def _generation_rank(pair: QuestionPair, problem_id: str) -> tuple[float, str]:
+    return (-pair.similarity, pair.partner_of(problem_id).id)
+
+
 def select_generation_pair(
     problem: SeedProblem, pairs: Sequence[QuestionPair]
 ) -> QuestionPair | None:
@@ -204,8 +208,20 @@ def select_generation_pair(
     candidates = [pair for pair in pairs if pair.contains(problem.id)]
     if not candidates:
         return None
-    candidates.sort(key=lambda p: (-p.similarity, p.partner_of(problem.id).id))
+    candidates.sort(key=lambda p: _generation_rank(p, problem.id))
     return candidates[0]
+
+
+def generation_pairs(pairs: Sequence[QuestionPair]) -> dict[str, QuestionPair]:
+    """`select_generation_pair` for every problem id in `pairs`, in one pass over them."""
+    best: dict[str, QuestionPair] = {}
+    for pair in pairs:
+        for problem_id in (pair.low.id, pair.high.id):
+            current = best.get(problem_id)
+            rank = _generation_rank(pair, problem_id)
+            if current is None or rank < _generation_rank(current, problem_id):
+                best[problem_id] = pair
+    return best
 
 
 # --- embedding and pair persistence -----------------------------------------

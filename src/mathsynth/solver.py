@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
+from operator import eq
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -95,27 +97,24 @@ def ngram_degeneracy(text: str | Sequence[str], n: int) -> NgramStats:
     max_consecutive is the longest run of back-to-back identical n-token
     chunks, scanned at every phase offset, so a phrase looping with period n
     is measured by how many times it repeats, not by overlapping-window
-    coincidence. Texts shorter than n tokens score 0 on both.
+    coincidence. Texts shorter than n tokens score 0 on both. Both statistics
+    take time linear in the number of tokens.
     """
     tokens = list(text) if not isinstance(text, str) else tokenize(text)
     if n < 1:
         raise SolverError("n must be positive")
-    total = len(tokens) - n + 1
+    grams = list(zip(*(islice(tokens, i, None) for i in range(n))))
+    total = len(grams)
     if total < 1:
         return NgramStats(n=n, total=0, distinct=0, duplicate_ratio=0.0, max_consecutive=0)
-    grams = [tuple(tokens[i : i + n]) for i in range(total)]
     distinct = len(set(grams))
     ratio = 1.0 - distinct / total
 
-    longest = 1
-    for phase in range(n):
-        run = 0
-        previous = None
-        for start in range(phase, len(tokens) - n + 1, n):
-            chunk = tuple(tokens[start : start + n])
-            run = run + 1 if chunk == previous else 1
-            previous = chunk
-            longest = max(longest, run)
+    # The chunk starting at i repeats the one before it at its phase exactly
+    # when grams[i] == grams[i + n]; same[phase::n] lists those comparisons in
+    # order, so a run of k equal neighbours there is a run of k + 1 chunks.
+    same = bytes(map(eq, grams, islice(grams, n, None)))
+    longest = 1 + max(max(map(len, same[phase::n].split(b"\0"))) for phase in range(n))
     return NgramStats(
         n=n, total=total, distinct=distinct, duplicate_ratio=ratio, max_consecutive=longest
     )

@@ -16,7 +16,7 @@ from typing import Any, Sequence
 
 from . import jsonl
 from .corpus import Corpus, SeedProblem
-from .pairing import QuestionPair, select_generation_pair
+from .pairing import QuestionPair, generation_pairs
 from .prompts import render_generation_prompt
 from .providers import ChatClient, ChatRequest, ProviderError, map_bounded
 
@@ -196,9 +196,10 @@ def synthesize_category(
         raise SynthesisError(f"unknown template {template!r}")
     cfg = cfg or SynthesisConfig()
     seeds = sorted(corpus.problems, key=lambda p: p.id)
+    pair_of = generation_pairs(pairs)
 
     def run_one(seed: SeedProblem) -> tuple[str, Any]:
-        pair = select_generation_pair(seed, pairs)
+        pair = pair_of.get(seed.id)
         if pair is None:
             return ("skip", (seed.id, "no pair above the similarity threshold"))
         prompt = render_generation_prompt(template, pair)

@@ -20,6 +20,7 @@ from mathsynth.pairing import (
     build_pairs,
     cosine_similarity,
     embed_corpus,
+    generation_pairs,
     load_pairs,
     save_pairs,
     select_generation_pair,
@@ -217,6 +218,26 @@ def test_select_generation_pair_tie_breaks_by_partner_id():
     assert select_generation_pair(anchor, [second, first]).high.id == "x"
     assert select_generation_pair(anchor, [second, first, best]).high.id == "z"
     assert select_generation_pair(_problem("q", 1.0), [first]) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 7), st.integers(0, 7), st.sampled_from([0.8, 0.85, 0.9])),
+        max_size=30,
+    )
+)
+def test_generation_pairs_match_select_generation_pair(edges):
+    # Few ids and three similarity values, so most seeds meet tied candidates.
+    seeds = [_problem(f"s{i}", float(i)) for i in range(8)]
+    pairs = [
+        QuestionPair(low=seeds[min(i, j)], high=seeds[max(i, j)], similarity=sim)
+        for i, j, sim in edges
+        if i != j
+    ]
+    pair_of = generation_pairs(pairs)
+    for seed in seeds:
+        assert pair_of.get(seed.id) is select_generation_pair(seed, pairs)
 
 
 def test_missing_embedding_is_an_error():

@@ -13,6 +13,7 @@ from mathsynth.corpus import SeedProblem
 from mathsynth.providers import TransportError
 from mathsynth.solver import (
     GateConfig,
+    NgramStats,
     SolutionRecord,
     SolverError,
     check_gates,
@@ -103,6 +104,55 @@ def test_ngram_run_counts_looping_phrase_at_any_phase():
     # the same loop shifted by one token is still caught by phase scanning
     shifted = "lead " + text
     assert ngram_degeneracy(shifted, 3).max_consecutive == 20
+
+
+def oracle_ngram_stats(tokens: list[str], n: int) -> NgramStats:
+    """Reference statistics: one tuple per position and per chunk, scanned in Python."""
+    total = len(tokens) - n + 1
+    if total < 1:
+        return NgramStats(n=n, total=0, distinct=0, duplicate_ratio=0.0, max_consecutive=0)
+    grams = [tuple(tokens[i : i + n]) for i in range(total)]
+    distinct = len(set(grams))
+    longest = 1
+    for phase in range(n):
+        run = 0
+        previous = None
+        for start in range(phase, len(tokens) - n + 1, n):
+            chunk = tuple(tokens[start : start + n])
+            run = run + 1 if chunk == previous else 1
+            previous = chunk
+            longest = max(longest, run)
+    return NgramStats(
+        n=n,
+        total=total,
+        distinct=distinct,
+        duplicate_ratio=1.0 - distinct / total,
+        max_consecutive=longest,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda size: st.lists(st.sampled_from(["a", "b", "c", "d"][:size]), max_size=300)
+    ),
+    st.integers(1, 4),
+)
+def test_ngram_stats_match_reference_loop(tokens, n):
+    # Exact equality, floats included: the ratio is the same expression.
+    assert ngram_degeneracy(tokens, n) == oracle_ngram_stats(tokens, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("lead", [0, 1, 2, 3])
+def test_ngram_stats_match_reference_on_loops_and_short_texts(n, lead):
+    phrase = ["so", "x", "is", "odd"][:n]
+    looping = ["lead"] * lead + phrase * 15 + ["done"]
+    stats = ngram_degeneracy(looping, n)
+    assert stats == oracle_ngram_stats(looping, n)
+    assert stats.max_consecutive == 15
+    short = phrase[: n - 1]
+    assert ngram_degeneracy(short, n) == oracle_ngram_stats(short, n)
 
 
 def test_ngram_stats_edge_cases():
