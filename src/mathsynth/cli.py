@@ -38,6 +38,7 @@ from .providers import (
     MockTransport,
     ProviderError,
     ResponseCache,
+    WorkerPool,
 )
 from .quality import (
     apply_review,
@@ -94,7 +95,11 @@ class TagPaths:
 
 
 class Pipeline:
-    """Shared runtime state for one invocation: config, clients, and paths."""
+    """Shared runtime state for one invocation: config, clients, worker pool, and paths.
+
+    Stages run inside `pool.use()` share the pool's threads, and with them
+    the transport's per-thread connections.
+    """
 
     def __init__(self, cfg: RunConfig, out_dir: Path, resume: bool = False):
         self.cfg = cfg
@@ -106,6 +111,7 @@ class Pipeline:
             self.transport = HttpTransport(cfg.providers)
         self.cache = ResponseCache(self.out / "cache" / "responses")
         self.chat = ChatClient(self.transport, cfg.providers, self.cache)
+        self.pool = WorkerPool()
 
     def corpora(self) -> list[tuple[str, Corpus]]:
         return [
@@ -134,6 +140,7 @@ class Pipeline:
             target.write_text(text, encoding="utf-8")
 
     def close(self) -> None:
+        self.pool.close()
         self.cache.close()
         if isinstance(self.transport, HttpTransport):
             self.transport.close()
@@ -585,7 +592,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FATAL
     try:
         pipe.write_config_copy()
-        result = _run_step(pipe, args.command, COMMANDS[args.command])
+        with pipe.pool.use():
+            result = _run_step(pipe, args.command, COMMANDS[args.command])
     except _EXPECTED_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FATAL

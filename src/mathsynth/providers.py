@@ -15,12 +15,16 @@ import base64
 import hashlib
 import json
 import os
+import select
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
+from urllib.parse import SplitResult, unquote, urlsplit
 
 import numpy as np
 
@@ -75,6 +79,15 @@ class ProviderConfig:
         for name in ("mock_dim", "max_retries", "embed_batch_size", "max_in_flight"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        try:
+            url = urlsplit(self.base_url)
+            valid = url.scheme in ("http", "https") and bool(url.hostname) and url.port != 0
+        except ValueError:  # a port that is not a number in 0-65535
+            valid = False
+        if not valid:
+            raise ValueError(
+                f"base_url must be an http:// or https:// URL with a host, got {self.base_url!r}"
+            )
 
 
 def canonical_json(payload: dict[str, Any]) -> str:
@@ -233,63 +246,128 @@ class ResponseCache:
 
 
 class HttpTransport:
-    """OpenAI-compatible HTTP transport. The cache salt is not sent on the wire.
+    """OpenAI-compatible HTTP transport on the standard library's `http.client`.
 
-    Each thread keeps one `requests.Session`, so its calls share a kept-alive
-    connection instead of opening one per request.
+    The cache salt is not sent on the wire. Each thread keeps one kept-alive
+    connection to the host of `base_url`, whose path prefix (say `/v1`) starts
+    every request path. A connection the server closed while it sat idle is
+    reopened before it is used, without failing an attempt; a connection
+    error or timeout closes it, and the next attempt reconnects.
+
+    `http_proxy`, `https_proxy` and `no_proxy` are read once, here: an HTTP
+    request goes to the proxy in absolute form, an HTTPS one through a
+    CONNECT tunnel. The TLS context is built on the first HTTPS connection
+    and trusts `REQUESTS_CA_BUNDLE`, else `CURL_CA_BUNDLE`, else the system
+    store. `.netrc` is not read.
     """
 
     def __init__(self, cfg: ProviderConfig):
         self.cfg = cfg
+        url = urlsplit(cfg.base_url)
+        self._https = url.scheme == "https"
+        self._host = url.hostname
+        self._port = url.port or (443 if self._https else 80)
+        netloc = url.netloc.rpartition("@")[2]
+        self._headers = {"Content-Type": "application/json", "User-Agent": "mathsynth"}
+        key = os.environ.get(cfg.api_key_env, "")
+        if key:
+            self._headers["Authorization"] = f"Bearer {key}"
+        self._proxy = _env_proxy(url.scheme, netloc)
+        self._proxy_headers: dict[str, str] = {}
+        if self._proxy is not None and self._proxy.username:
+            user = f"{unquote(self._proxy.username)}:{unquote(self._proxy.password or '')}"
+            credentials = base64.b64encode(user.encode("utf-8")).decode("ascii")
+            self._proxy_headers["Proxy-Authorization"] = f"Basic {credentials}"
+        self._prefix = url.path.rstrip("/")
+        if self._proxy is not None and not self._https:
+            self._prefix = f"http://{netloc}{self._prefix}"
+            self._headers.update(self._proxy_headers)
+        self._ssl_context: Any = None
         self._local = threading.local()
         self._lock = threading.Lock()
-        self._sessions: list[Any] = []
+        self._connections: list[Any] = []
 
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        key = os.environ.get(self.cfg.api_key_env, "")
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
-        return headers
+    def _open(self) -> Any:
+        import http.client
 
-    def _session(self) -> Any:
-        session = getattr(self._local, "session", None)
-        if session is None:
-            import requests
+        host, port = self._host, self._port
+        if self._proxy is not None:
+            host, port = self._proxy.hostname, self._proxy.port or 80
+        if not self._https:
+            return http.client.HTTPConnection(host, port, timeout=self.cfg.timeout)
+        with self._lock:
+            if self._ssl_context is None:
+                import ssl
 
-            session = self._local.session = requests.Session()
+                cafile = (
+                    os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE") or None
+                )
+                self._ssl_context = ssl.create_default_context(cafile=cafile)
+        conn = http.client.HTTPSConnection(
+            host, port, timeout=self.cfg.timeout, context=self._ssl_context
+        )
+        if self._proxy is not None:
+            conn.set_tunnel(self._host, self._port, headers=self._proxy_headers)
+        return conn
+
+    def _connection(self) -> Any:
+        """This thread's connection, reopened first if the server has closed it."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._open()
             with self._lock:
-                self._sessions.append(session)
-        return session
+                self._connections.append(conn)
+        elif conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
+            # An idle kept-alive socket that reads as ready holds the server's
+            # close (or stray bytes): either way it cannot carry a request.
+            conn.close()  # the next request connects again
+        return conn
 
     def request(self, path: str, payload: dict[str, Any], salt: str = "") -> dict[str, Any]:
-        import requests
+        import http.client
 
         url = self.cfg.base_url.rstrip("/") + path
+        body = json.dumps(payload).encode("utf-8")
+        conn = self._connection()
         try:
-            resp = self._session().post(
-                url, json=payload, headers=self._headers(), timeout=self.cfg.timeout
-            )
-        except requests.exceptions.RequestException as exc:
-            raise TransportError(f"request to {url} failed: {exc}", retryable=True) from exc
-        if resp.status_code != 200:
-            retryable = resp.status_code in RETRYABLE_STATUSES
+            conn.request("POST", self._prefix + path, body, self._headers)
+            resp = conn.getresponse()
+            status, data = resp.status, resp.read()
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
+            raise TransportError(f"request to {url} failed: {exc!r}", retryable=True) from exc
+        if status != 200:
             raise TransportError(
-                f"{url} returned {resp.status_code}: {resp.text[:200]}",
-                retryable=retryable,
-                status=resp.status_code,
+                f"{url} returned {status}: {data[:200].decode('utf-8', 'replace')}",
+                retryable=status in RETRYABLE_STATUSES,
+                status=status,
             )
         try:
-            return resp.json()
+            return json.loads(data)
         except ValueError as exc:
             raise TransportError(f"{url} returned non-JSON body", retryable=True) from exc
 
     def close(self) -> None:
-        """Close every thread's session and its connections."""
+        """Close every thread's connection; a later request reconnects."""
         with self._lock:
-            sessions, self._sessions = self._sessions, []
-        for session in sessions:
-            session.close()
+            connections = list(self._connections)
+        for conn in connections:
+            conn.close()
+
+
+def _env_proxy(scheme: str, netloc: str) -> SplitResult | None:
+    """The split URL of the proxy the environment names for `scheme://netloc`, or None."""
+    if not any(name.lower().endswith("_proxy") for name in os.environ):
+        return None  # spares importing urllib.request
+    import urllib.request
+
+    proxy = urllib.request.getproxies().get(scheme)
+    if not proxy or urllib.request.proxy_bypass(netloc):
+        return None
+    url = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+    if url.scheme != "http" or not url.hostname:
+        raise ValueError(f"{scheme}_proxy must be an http:// proxy URL, got {proxy!r}")
+    return url
 
 
 def mock_embedding(text: str, dim: int = 64, seed: int = 0) -> list[float]:
@@ -642,18 +720,82 @@ class ProviderStats:
             return dict(self._counts)
 
 
+_ACTIVE_POOL: ContextVar[WorkerPool | None] = ContextVar("active_worker_pool", default=None)
+_in_worker = threading.local()
+
+
+def _mark_worker() -> None:
+    _in_worker.flag = True
+
+
+class WorkerPool:
+    """Worker threads shared by every `map_bounded` call made inside `use()`.
+
+    A pipeline keeps one for all its stages, so a worker thread, and the HTTP
+    connection it keeps, lasts the whole run instead of one call. Threads
+    start on first use, one executor per distinct `max_in_flight`, and stop
+    in `close()`.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._executors: dict[int, ThreadPoolExecutor] = {}
+
+    @contextmanager
+    def use(self) -> Iterator[WorkerPool]:
+        """Run the `map_bounded` calls this thread makes inside the block on this pool."""
+        token = _ACTIVE_POOL.set(self)
+        try:
+            yield self
+        finally:
+            _ACTIVE_POOL.reset(token)
+
+    def map(self, fn: Callable[[T], R], items: list[T], max_in_flight: int) -> list[R]:
+        with self._lock:
+            executor = self._executors.get(max_in_flight)
+            if executor is None:
+                executor = self._executors[max_in_flight] = ThreadPoolExecutor(
+                    max_workers=max_in_flight, initializer=_mark_worker
+                )
+        futures = [executor.submit(fn, item) for item in items]
+        try:
+            return [future.result() for future in futures]
+        finally:
+            for future in futures:
+                future.cancel()
+            wait(futures)
+
+    def close(self) -> None:
+        with self._lock:
+            executors, self._executors = list(self._executors.values()), {}
+        for executor in executors:
+            executor.shutdown()
+
+
 def map_bounded(
     fn: Callable[[T], R], items: Iterable[T], max_in_flight: int
 ) -> list[R]:
     """Apply fn to every item with at most max_in_flight concurrent calls.
 
     Results come back in input order; the first exception propagates after
-    in-flight work drains.
+    in-flight work drains and the queued items are dropped. Inside
+    `WorkerPool.use()` the calls run on that pool's threads, otherwise on
+    threads started for this call. Calling it from a pool worker raises
+    RuntimeError: nested calls would wait on the threads their caller holds,
+    or run on threads of their own beyond the max_in_flight bound.
     """
+    if getattr(_in_worker, "flag", False):
+        raise RuntimeError("map_bounded called from a pool worker thread")
     items = list(items)
     if not items:
         return []
     if max_in_flight == 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-        return list(pool.map(fn, items))
+    pool = _ACTIVE_POOL.get()
+    if pool is not None:
+        return pool.map(fn, items, max_in_flight)
+    pool = WorkerPool()
+    try:
+        return pool.map(fn, items, max_in_flight)
+    finally:
+        pool.close()

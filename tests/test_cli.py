@@ -2,6 +2,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -104,6 +109,10 @@ def test_non_object_config_section_is_usage_error(tmp_path, capsys):
         ({"synthesis": {"temperature": 5}}, "synthesis.temperature must be in [0, 2]"),
         ({"synthesis": {"hybrid_offset": -1}}, "synthesis.hybrid_offset must be non-negative"),
         ({"providers": {"max_in_flight": 0}}, "providers.max_in_flight must be at least 1"),
+        (
+            {"providers": {"base_url": "localhost:8000/v1"}},
+            "providers.base_url must be an http:// or https:// URL with a host",
+        ),
     ],
 )
 def test_invalid_values_are_usage_errors(tmp_path, capsys, overrides, fragment):
@@ -293,3 +302,85 @@ def test_run_all_with_scores_and_blending(tmp_path):
     means = [s["mean_difficulty"] for s in blended["stages"]]
     assert means == sorted(means)
     assert blended["total_items"] == 24
+
+
+# --- over HTTP --------------------------------------------------------------------
+
+
+class _MockEndpointHandler(BaseHTTPRequestHandler):
+    """Answers the OpenAI-compatible routes under /v1 with MockTransport's replies."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # headers and body go out as two writes
+    mock = MockTransport()
+
+    def setup(self) -> None:
+        super().setup()
+        self.server.connections += 1
+
+    def do_POST(self) -> None:
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.requests += 1
+        body = json.dumps(self.mock.request(self.path.removeprefix("/v1"), payload)).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args) -> None:
+        pass
+
+
+# Run in a fresh interpreter: importing the CLI loads no HTTP or TLS module,
+# and the run needs no requests package.
+_HTTP_RUN = """
+import sys
+import mathsynth.cli
+loaded = [m for m in ("requests", "http.client", "ssl", "urllib.request") if m in sys.modules]
+if loaded:
+    sys.exit(f"importing mathsynth.cli loaded {loaded}")
+sys.modules["requests"] = None  # any import of requests now fails
+sys.exit(mathsynth.cli.main(sys.argv[1:]))
+"""
+
+
+def test_run_all_over_http_needs_only_the_standard_library(tmp_path):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _MockEndpointHandler)
+    server.requests = server.connections = 0
+    serving = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    serving.start()
+    base_url = f"http://127.0.0.1:{server.server_port}/v1"
+    config_path, out = make_run(
+        tmp_path, {"providers": {"mock": False, "base_url": base_url, "max_in_flight": 2}}
+    )
+    env = {k: v for k, v in os.environ.items() if not k.lower().endswith("_proxy")}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(cli.__file__).parents[1]), *sys.path])
+
+    def run() -> subprocess.CompletedProcess:
+        # -X dev reports any socket left unclosed as a ResourceWarning
+        command = [sys.executable, "-X", "dev", "-c", _HTTP_RUN, "run-all"]
+        return subprocess.run(
+            [*command, "--config", str(config_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    try:
+        first = run()
+        cold = (server.requests, server.connections)
+        second = run()
+        warm = (server.requests, server.connections)
+    finally:
+        server.shutdown()
+        server.server_close()
+        serving.join(timeout=10)
+    for proc in (first, second):
+        assert proc.returncode == cli.EXIT_OK and "ResourceWarning" not in proc.stderr, proc.stderr
+    # one connection per pool worker plus the main thread's embedding call
+    assert cold[0] > 0 and cold[1] <= 2 + 1
+    assert warm == cold  # the warm cache answers every call
+
+    curriculum = out / "artifacts" / "toy" / "curriculum"
+    manifest = json.loads((curriculum / "manifest.json").read_text(encoding="utf-8"))
+    staged = sum(len(read_jsonl(path)) for path in curriculum.glob("stage*.jsonl"))
+    assert staged == manifest["total_items"] == 60

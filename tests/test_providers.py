@@ -2,7 +2,11 @@
 from __future__ import annotations
 
 import base64
+import contextlib
 import json
+import os
+import socket
+import ssl
 import sys
 import threading
 import time
@@ -26,6 +30,7 @@ from mathsynth.providers import (
     ProviderError,
     ResponseCache,
     TransportError,
+    WorkerPool,
     cache_key,
     map_bounded,
     mock_embedding,
@@ -299,6 +304,226 @@ def test_http_transport_reuses_one_connection_per_thread():
     assert server.connections == 1
 
 
+_CHAT_OK = json.dumps(
+    {"choices": [{"index": 0, "message": {"role": "assistant", "content": "ok"}}]}
+).encode("utf-8")
+
+
+class _ScriptedHandler(BaseHTTPRequestHandler):
+    """Records each POST and answers it with the server's next scripted reply.
+
+    A reply is `(status, body, close)`, or a callable returning one; with
+    `close` the server shuts the kept-alive connection after answering,
+    without saying so, and sets `server.closed`. Once the script is empty,
+    `server.default(body)` gives the reply: 200 with a chat completion.
+    """
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # headers and body go out as two writes
+
+    def setup(self) -> None:
+        super().setup()
+        self.server.connections += 1
+
+    def handle(self) -> None:
+        try:
+            super().handle()
+        except ConnectionError:  # the client gave up on a stalled reply
+            pass
+
+    def do_POST(self) -> None:
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.seen.append((self.path, self.headers, body))
+        if self.server.script:
+            reply = self.server.script.pop(0)
+            status, data, close = reply() if callable(reply) else reply
+        else:
+            status, data, close = self.server.default(body)
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+        if close:
+            self.wfile.flush()
+            self.connection.shutdown(socket.SHUT_WR)
+            self.close_connection = True
+            self.server.closed.set()
+
+    def log_message(self, *args) -> None:
+        pass
+
+
+@pytest.fixture
+def serve(monkeypatch):
+    """Starts scripted 127.0.0.1 endpoints; closes their transports, then stops them."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    started = []
+
+    def start() -> ThreadingHTTPServer:
+        server = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
+        server.connections, server.seen, server.script = 0, [], []
+        server.closed, server.transports = threading.Event(), []
+        server.default = lambda body: (200, _CHAT_OK, False)
+        thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+        thread.start()
+        started.append((server, thread))
+        return server
+
+    yield start
+    for server, _ in started:
+        for transport in server.transports:
+            transport.close()
+    for server, thread in started:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+
+
+def _connect(server: ThreadingHTTPServer, timeout: float = 10.0) -> HttpTransport:
+    base_url = f"http://127.0.0.1:{server.server_port}/v1"
+    transport = HttpTransport(ProviderConfig(base_url=base_url, timeout=timeout))
+    server.transports.append(transport)
+    return transport
+
+
+@pytest.mark.parametrize("status,retryable", [(429, True), (503, True), (400, False)])
+def test_http_error_status_keeps_its_status_and_retryability(serve, status, retryable):
+    server = serve()
+    server.script.append((status, b'{"error": {"message": "no"}}', False))
+    with pytest.raises(TransportError, match=f"returned {status}") as info:
+        _connect(server).request("/chat/completions", {"n": 1})
+    assert (info.value.status, info.value.retryable) == (status, retryable)
+
+
+def test_http_non_json_200_is_retryable(serve):
+    server = serve()
+    server.script.append((200, b"<html>upstream busy</html>", False))
+    with pytest.raises(TransportError, match="non-JSON") as info:
+        _connect(server).request("/chat/completions", {"n": 1})
+    assert info.value.retryable and info.value.status is None
+
+
+def test_http_refused_connection_is_retryable():
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    transport = HttpTransport(ProviderConfig(base_url=f"http://127.0.0.1:{port}/v1", timeout=5.0))
+    try:
+        with pytest.raises(TransportError, match="failed") as info:
+            transport.request("/chat/completions", {"n": 1})
+    finally:
+        transport.close()
+    assert info.value.retryable
+
+
+def test_http_read_timeout_is_retryable_and_the_next_call_reconnects(serve):
+    server = serve()
+    release = threading.Event()
+
+    def stall():
+        release.wait(10)
+        return 200, _CHAT_OK, False
+
+    server.script.append(stall)
+    transport = _connect(server, timeout=0.2)
+    with pytest.raises(TransportError, match="timed out") as info:
+        transport.request("/chat/completions", {"n": 1})
+    release.set()
+    assert info.value.retryable
+    assert transport.request("/chat/completions", {"n": 2}) == json.loads(_CHAT_OK)
+    assert server.connections == 2
+
+
+def test_http_connection_closed_while_idle_is_replaced_without_a_retry(serve):
+    server = serve()
+    server.script.append((200, _CHAT_OK, True))
+    client = ChatClient(_connect(server), ProviderConfig(max_retries=1))
+    assert client.complete(_req("first")).content == "ok"
+    assert server.closed.wait(5)
+    time.sleep(0.05)  # let the server's close reach the client's socket
+    assert client.complete(_req("second")).content == "ok"
+    snap = client.stats.snapshot()
+    assert (snap["transport_calls"], snap["retries"]) == (2, 0)
+    assert server.connections == 2
+
+
+def test_http_request_keeps_the_base_path_and_sends_the_key_but_not_the_salt(serve, monkeypatch):
+    monkeypatch.setenv("MATHSYNTH_API_KEY", "sk-test")
+    server = serve()
+    server.script.append((200, b'{"ok": true}', False))
+    reply = _connect(server).request("/embeddings", {"input": ["x"]}, salt="gen:salt:1")
+    assert reply == {"ok": True}
+    [(path, headers, body)] = server.seen
+    assert path == "/v1/embeddings"
+    assert headers["Authorization"] == "Bearer sk-test"
+    assert json.loads(body) == {"input": ["x"]} and b"gen:salt:1" not in body
+
+
+def test_http_proxy_routes_requests_unless_no_proxy_names_the_host(serve, monkeypatch):
+    server, proxy = serve(), serve()
+    monkeypatch.setenv("http_proxy", f"http://127.0.0.1:{proxy.server_port}")
+    proxy.script.append((200, b'{"via": "proxy"}', False))
+    assert _connect(server).request("/embeddings", {"n": 1}) == {"via": "proxy"}
+    assert [path for path, _, _ in proxy.seen] == [
+        f"http://127.0.0.1:{server.server_port}/v1/embeddings"
+    ]
+
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    server.script.append((200, b'{"via": "direct"}', False))
+    assert _connect(server).request("/embeddings", {"n": 2}) == {"via": "direct"}
+    assert len(proxy.seen) == 1 and [path for path, _, _ in server.seen] == ["/v1/embeddings"]
+
+
+def test_http_threads_each_keep_one_connection_under_contention(serve):
+    server = serve()
+    server.default = lambda body: (200, json.dumps({"echo": json.loads(body)}).encode(), False)
+    transport = _connect(server)
+    replies: dict[int, list] = {}
+
+    def calls(worker: int) -> None:
+        replies[worker] = [
+            transport.request("/embeddings", {"w": worker, "n": n}) for n in range(10)
+        ]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=calls, args=(w,)) for w in range(8)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    for w in range(8):
+        assert replies[w] == [{"echo": {"w": w, "n": n}} for n in range(10)]
+    assert server.connections == 8
+
+
+def test_https_builds_one_tls_context_from_the_first_ca_bundle_variable(monkeypatch):
+    cafiles = []
+
+    def create_default_context(cafile=None):
+        cafiles.append(cafile)
+        return ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)
+
+    monkeypatch.setattr(ssl, "create_default_context", create_default_context)
+    monkeypatch.setenv("CURL_CA_BUNDLE", "curl.pem")
+    for bundle, expected in (("requests.pem", "requests.pem"), ("", "curl.pem")):
+        monkeypatch.setenv("REQUESTS_CA_BUNDLE", bundle)
+        transport = HttpTransport(ProviderConfig(base_url="https://api.example/v1"))
+        workers = [threading.Thread(target=transport._connection) for _ in range(3)]
+        for worker in workers:  # each opens its connection object; none connects yet
+            worker.start()
+            worker.join()
+        transport.close()
+        assert cafiles.pop() == expected and not cafiles
+
+
 # --- embedding client -------------------------------------------------------
 
 
@@ -488,6 +713,35 @@ def test_map_bounded_propagates_errors():
 
     with pytest.raises(RuntimeError, match="worker failed"):
         map_bounded(explode, range(6), max_in_flight=2)
+
+
+def test_map_bounded_calls_inside_use_share_the_pools_threads():
+    def current(_: int) -> threading.Thread:
+        return threading.current_thread()
+
+    pool = WorkerPool()
+    try:
+        with pool.use():
+            shared = map_bounded(current, range(20), 2) + map_bounded(current, range(20), 2)
+    finally:
+        pool.close()
+    assert len(set(shared)) <= 2
+    # outside use(), each call starts and stops threads of its own
+    assert not set(map_bounded(current, range(20), 2)) & set(shared)
+
+
+@pytest.mark.parametrize("use_pool", [True, False])
+def test_map_bounded_from_a_pool_worker_is_an_error(use_pool):
+    def nested(x: int) -> list[int]:
+        return map_bounded(abs, [x, -x], 2)
+
+    pool = WorkerPool()
+    try:
+        with pool.use() if use_pool else contextlib.nullcontext():
+            with pytest.raises(RuntimeError, match="pool worker"):
+                map_bounded(nested, range(4), 2)
+    finally:
+        pool.close()
 
 
 def test_provider_stats_counts():
