@@ -6,22 +6,23 @@ directory itself is the pipeline state: pair -> generate -> verify -> solve
 annotation loop and stats for dataset counts. run-all chains the automated
 stages. Given the same config, seed, and cache, every command rewrites
 byte-identical artifacts; wall-clock run reports live in reports/ and are
-excluded from that guarantee.
+excluded from that guarantee. `COMMAND_TABLE` lists the commands; each
+`cmd_*` hands its per-tag body to the stage driver `_each_tag`.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from . import jsonl
 from .config import ConfigError, RunConfig, load_run_config
-from .corpus import Corpus, load_corpus
+from .corpus import Corpus, CorpusError, load_corpus
 from .curriculum import (
+    CurriculumPlan,
     GradedItem,
     build_blended_curriculum,
     build_pure_curriculum,
@@ -50,6 +51,9 @@ from .quality import (
 )
 from .solver import save_gate_reports, save_solutions, solve_dataset
 from .synthesis import (
+    CATEGORIES,
+    STATUSES,
+    SynthesizedQuestion,
     load_questions,
     original_records,
     save_questions,
@@ -62,8 +66,6 @@ EXIT_FATAL = 1
 EXIT_USAGE = 2
 EXIT_PARTIAL = 3
 
-GENERATED_CATEGORIES = ("hybrid", "decomposed", "original")
-
 
 class PrerequisiteError(RuntimeError):
     """A command needs an artifact an earlier command has not produced yet."""
@@ -74,7 +76,7 @@ class TagPaths:
 
     def __init__(self, out_dir: Path, tag: str):
         root = out_dir / "artifacts" / tag
-        self.root = root
+        self.tag = tag
         self.pairs = root / "pairs.jsonl"
         self.generated = root / "generated"
         self.verified = root / "verified"
@@ -90,21 +92,43 @@ class TagPaths:
     def generated_file(self, category: str) -> Path:
         return self.generated / f"{category}.jsonl"
 
+    def skips_file(self, template: str) -> Path:
+        return self.generated / f"skips_{template}.jsonl"
+
     def verified_file(self, category: str) -> Path:
         return self.verified / f"{category}.jsonl"
 
 
-class Pipeline:
-    """Shared runtime state for one invocation: config, clients, worker pool, and paths.
+def _load_corpora(cfg: RunConfig) -> dict[str, Corpus]:
+    """Parse every seed corpus, keyed by tag. A blended curriculum keys items
+    by id, so under `curriculum.blend` a shared id fails here, before any stage."""
+    corpora: dict[str, Corpus] = {}
+    owners: dict[str, str] = {}
+    for entry in cfg.seed_corpora:
+        corpora[entry.name] = corpus = load_corpus(entry.path, source_tag=entry.name)
+        for problem in corpus.problems:
+            owner = owners.setdefault(problem.id, entry.name)
+            if cfg.curriculum.blend and owner != entry.name:
+                raise CorpusError(
+                    f"problem id {problem.id!r} is in seed corpora {owner!r} and "
+                    f"{entry.name!r}; curriculum.blend needs ids unique across corpora"
+                )
+    return corpora
 
-    Stages run inside `pool.use()` share the pool's threads, and with them
-    the transport's per-thread connections.
+
+class Pipeline:
+    """Shared runtime state for one invocation: config, seed corpora, clients, worker pool.
+
+    Each seed corpus is parsed once, when the pipeline opens. Stages run
+    inside `pool.use()` share the pool's threads, and with them the
+    transport's per-thread connections.
     """
 
     def __init__(self, cfg: RunConfig, out_dir: Path, resume: bool = False):
         self.cfg = cfg
         self.out = out_dir
         self.resume = resume
+        self.corpora = _load_corpora(cfg)
         if cfg.providers.mock:
             self.transport: Any = MockTransport(seed=cfg.seed, dim=cfg.providers.mock_dim)
         else:
@@ -112,18 +136,6 @@ class Pipeline:
         self.cache = ResponseCache(self.out / "cache" / "responses")
         self.chat = ChatClient(self.transport, cfg.providers, self.cache)
         self.pool = WorkerPool()
-
-    def corpora(self) -> list[tuple[str, Corpus]]:
-        return [
-            (entry.name, load_corpus(entry.path, source_tag=entry.name))
-            for entry in self.cfg.seed_corpora
-        ]
-
-    def tags(self) -> list[str]:
-        return [entry.name for entry in self.cfg.seed_corpora]
-
-    def paths(self, tag: str) -> TagPaths:
-        return TagPaths(self.out, tag)
 
     def write_config_copy(self) -> None:
         # out_dir is omitted: it is wherever this copy sits, and pinning it
@@ -133,11 +145,9 @@ class Pipeline:
         for entry in record["seed_corpora"]:
             if entry["tag"] is None:
                 del entry["tag"]
-        self.out.mkdir(parents=True, exist_ok=True)
         target = self.out / "config.json"
-        text = json.dumps(record, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-        if not target.exists() or target.read_text(encoding="utf-8") != text:
-            target.write_text(text, encoding="utf-8")
+        if not target.exists() or target.read_text(encoding="utf-8") != jsonl.dump_json(record):
+            jsonl.write_json(target, record)
 
     def close(self) -> None:
         self.pool.close()
@@ -151,49 +161,68 @@ def _require(path: Path, producer: str) -> None:
         raise PrerequisiteError(f"missing artifact {path}; run '{producer}' first")
 
 
-def _done(*paths: Path) -> bool:
-    return all(p.exists() for p in paths)
+def _each_tag(
+    pipe: Pipeline,
+    run: Callable[[TagPaths, Corpus], tuple[int, Any]],
+    outputs: Callable[[TagPaths], list[Path]] | None = None,
+) -> dict[str, Any]:
+    """The stage driver: `run(paths, corpus)` returns each tag's (failures, detail).
+
+    `outputs(paths)` lists every file the stage writes for a tag; under
+    `--resume` the tag is skipped when all of them exist. A stage without
+    `outputs` never skips.
+    """
+    failures = 0
+    details: dict[str, Any] = {}
+    for tag, corpus in pipe.corpora.items():
+        paths = TagPaths(pipe.out, tag)
+        if pipe.resume and outputs and all(p.exists() for p in outputs(paths)):
+            details[tag] = {"skipped": True}
+            continue
+        tag_failures, details[tag] = run(paths, corpus)
+        failures += tag_failures
+    return {"failures": failures, "details": details}
+
+
+def _verified_questions(pipe: Pipeline, paths: TagPaths) -> list[SynthesizedQuestion]:
+    """Every question, of any status, in the enabled templates' verified files."""
+    questions: list[SynthesizedQuestion] = []
+    for template in pipe.cfg.synthesis.templates:
+        source = paths.verified_file(template)
+        _require(source, "verify")
+        questions.extend(load_questions(source))
+    return questions
 
 
 # --- commands ---------------------------------------------------------------
 
 
 def cmd_pair(pipe: Pipeline) -> dict[str, Any]:
-    details: dict[str, Any] = {}
-    for tag, corpus in pipe.corpora():
-        paths = pipe.paths(tag)
-        if pipe.resume and _done(paths.pairs):
-            details[tag] = {"skipped": True}
-            continue
+    def run(paths: TagPaths, corpus: Corpus) -> tuple[int, Any]:
         embedder = EmbeddingClient(
             pipe.transport, pipe.cfg.providers.models.embedder, pipe.cfg.providers, pipe.cache
         )
         embeddings = embed_corpus(corpus, embedder)
         pairs = build_pairs(corpus, embeddings, pipe.cfg.pairing)
         save_pairs(pairs, paths.pairs)
-        paired = len({qid for p in pairs for qid in (p.low.id, p.high.id)})
-        details[tag] = {
+        return 0, {
             "problems": len(corpus.problems),
             "pairs": len(pairs),
-            "paired_questions": paired,
+            "paired_questions": len({qid for p in pairs for qid in (p.low.id, p.high.id)}),
         }
-    return {"failures": 0, "details": details}
+
+    return _each_tag(pipe, run, lambda paths: [paths.pairs])
 
 
 def cmd_generate(pipe: Pipeline) -> dict[str, Any]:
-    failures = 0
-    details: dict[str, Any] = {}
-    for tag, corpus in pipe.corpora():
-        paths = pipe.paths(tag)
-        targets = [paths.generated_file(t) for t in pipe.cfg.synthesis.templates]
-        targets.append(paths.generated_file("original"))
-        if pipe.resume and _done(*targets):
-            details[tag] = {"skipped": True}
-            continue
+    templates = pipe.cfg.synthesis.templates
+
+    def run(paths: TagPaths, corpus: Corpus) -> tuple[int, Any]:
         _require(paths.pairs, "pair")
         pairs = load_pairs(paths.pairs, corpus)
-        tag_detail: dict[str, Any] = {}
-        for template in pipe.cfg.synthesis.templates:
+        failures = 0
+        detail: dict[str, Any] = {}
+        for template in templates:
             result = synthesize_category(
                 corpus,
                 pairs,
@@ -204,43 +233,41 @@ def cmd_generate(pipe: Pipeline) -> dict[str, Any]:
                 max_in_flight=pipe.cfg.providers.max_in_flight,
             )
             save_questions(result.questions, paths.generated_file(template))
-            save_skip_report(
-                result.skipped, result.failures, paths.generated / f"skips_{template}.jsonl"
-            )
+            save_skip_report(result.skipped, result.failures, paths.skips_file(template))
             failures += len(result.failures)
-            tag_detail[template] = {
+            detail[template] = {
                 "generated": len(result.questions),
                 "skipped": len(result.skipped),
                 "failed": len(result.failures),
             }
         originals = original_records(corpus)
         jsonl.write_records(paths.generated_file("original"), originals)
-        tag_detail["original"] = {"generated": len(originals)}
-        details[tag] = tag_detail
-    return {"failures": failures, "details": details}
+        detail["original"] = {"generated": len(originals)}
+        return failures, detail
+
+    return _each_tag(
+        pipe,
+        run,
+        lambda paths: [
+            *(paths.generated_file(t) for t in templates),
+            *(paths.skips_file(t) for t in templates),
+            paths.generated_file("original"),
+        ],
+    )
 
 
 def cmd_verify(pipe: Pipeline) -> dict[str, Any]:
-    failures = 0
-    details: dict[str, Any] = {}
-    for tag in pipe.tags():
-        paths = pipe.paths(tag)
-        targets = [paths.verified_file(t) for t in pipe.cfg.synthesis.templates] + [
-            paths.verified_file("original"),
-            paths.verdicts,
-        ]
-        if pipe.resume and _done(*targets):
-            details[tag] = {"skipped": True}
-            continue
+    templates = pipe.cfg.synthesis.templates
+
+    def run(paths: TagPaths, corpus: Corpus) -> tuple[int, Any]:
         verdicts = []
         errors: list[tuple[str, str]] = []
-        tag_detail: dict[str, Any] = {}
-        for template in pipe.cfg.synthesis.templates:
+        detail: dict[str, Any] = {}
+        for template in templates:
             source = paths.generated_file(template)
             _require(source, "generate")
-            questions = load_questions(source)
             outcome = verify_dataset(
-                questions,
+                load_questions(source),
                 pipe.chat,
                 pipe.cfg.providers.models.verifier,
                 max_in_flight=pipe.cfg.providers.max_in_flight,
@@ -248,10 +275,7 @@ def cmd_verify(pipe: Pipeline) -> dict[str, Any]:
             save_questions(outcome.questions, paths.verified_file(template))
             verdicts.extend(outcome.verdicts)
             errors.extend(outcome.errors)
-            counts = {"verified": 0, "rejected": 0, "unverified": 0}
-            for q in outcome.questions:
-                counts[q.status] += 1
-            tag_detail[template] = counts
+            detail[template] = {s: sum(q.status == s for q in outcome.questions) for s in STATUSES}
         original_source = paths.generated_file("original")
         _require(original_source, "generate")
         jsonl.write_records(
@@ -263,66 +287,55 @@ def cmd_verify(pipe: Pipeline) -> dict[str, Any]:
             paths.verify_errors,
             ({"question_id": qid, "reason": reason} for qid, reason in sorted(errors)),
         )
-        failures += len(errors)
-        details[tag] = tag_detail
-    return {"failures": failures, "details": details}
+        return len(errors), detail
+
+    return _each_tag(
+        pipe,
+        run,
+        lambda paths: [
+            *(paths.verified_file(t) for t in templates),
+            paths.verified_file("original"),
+            paths.verdicts,
+            paths.verify_errors,
+        ],
+    )
 
 
 def cmd_review_export(pipe: Pipeline) -> dict[str, Any]:
     qcfg = pipe.cfg.quality
-    details: dict[str, Any] = {}
-    for tag in pipe.tags():
-        paths = pipe.paths(tag)
-        texts: dict[str, str] = {}
-        for template in pipe.cfg.synthesis.templates:
-            source = paths.verified_file(template)
-            _require(source, "verify")
-            for q in load_questions(source):
-                if q.status == "verified":
-                    texts[q.id] = q.question
+
+    def run(paths: TagPaths, corpus: Corpus) -> tuple[int, Any]:
+        texts = {
+            q.id: q.question for q in _verified_questions(pipe, paths) if q.status == "verified"
+        }
         batch = sample_for_review(sorted(texts), rate=qcfg.sample_rate, seed=qcfg.review_seed)
         export_review_batch(batch, texts, paths.review_batch)
-        details[tag] = {"population": batch.population, "sampled": len(batch.items)}
-    return {"failures": 0, "details": details}
+        return 0, {"population": batch.population, "sampled": len(batch.items)}
+
+    return _each_tag(pipe, run)
 
 
 def cmd_review_import(pipe: Pipeline) -> dict[str, Any]:
-    details: dict[str, Any] = {}
-    for tag in pipe.tags():
-        paths = pipe.paths(tag)
+    def run(paths: TagPaths, corpus: Corpus) -> tuple[int, Any]:
         _require(paths.review_batch, "review-export")
         batch = import_review_batch(paths.review_batch)
-        merged = []
-        for template in pipe.cfg.synthesis.templates:
-            source = paths.verified_file(template)
-            _require(source, "verify")
-            merged.extend(load_questions(source))
-        updated = apply_review(batch, merged)
+        updated = apply_review(batch, _verified_questions(pipe, paths))
         for template in pipe.cfg.synthesis.templates:
             save_questions(
                 [q for q in updated if q.category == template], paths.verified_file(template)
             )
-        rejected = sum(
-            1 for verdict, _ in batch.verdicts.values() if verdict == "reject"
-        )
-        details[tag] = {"annotated": len(batch.verdicts), "rejected": rejected}
-    return {"failures": 0, "details": details}
+        rejected = sum(1 for verdict, _ in batch.verdicts.values() if verdict == "reject")
+        return 0, {"annotated": len(batch.verdicts), "rejected": rejected}
+
+    return _each_tag(pipe, run)
 
 
 def cmd_solve(pipe: Pipeline) -> dict[str, Any]:
-    failures = 0
-    details: dict[str, Any] = {}
-    for tag, corpus in pipe.corpora():
-        paths = pipe.paths(tag)
-        if pipe.resume and _done(paths.solutions, paths.gate_reports):
-            details[tag] = {"skipped": True}
-            continue
-        questions = []
-        for template in pipe.cfg.synthesis.templates:
-            source = paths.verified_file(template)
-            _require(source, "verify")
-            questions.extend(q for q in load_questions(source) if q.status == "verified")
-        questions.sort(key=lambda q: q.id)
+    def run(paths: TagPaths, corpus: Corpus) -> tuple[int, Any]:
+        questions = sorted(
+            (q for q in _verified_questions(pipe, paths) if q.status == "verified"),
+            key=lambda q: q.id,
+        )
         records = solve_dataset(
             questions,
             corpus.by_id(),
@@ -334,51 +347,46 @@ def cmd_solve(pipe: Pipeline) -> dict[str, Any]:
         save_solutions(records, paths.solutions)
         save_gate_reports(records, paths.gate_reports)
         failed = sum(1 for r in records if r.status == "failed")
-        failures += failed
-        details[tag] = {"solved": len(records) - failed, "failed": failed}
-    return {"failures": failures, "details": details}
+        return failed, {"solved": len(records) - failed, "failed": failed}
+
+    return _each_tag(pipe, run, lambda paths: [paths.solutions, paths.gate_reports])
 
 
-def _graded_items(
-    pipe: Pipeline, tag: str, scores: dict[str, float] | None
-) -> list[GradedItem]:
+def _graded_items(pipe: Pipeline, paths: TagPaths, use_scores: bool) -> list[GradedItem]:
     """Assemble training items: solver output for generated questions, the
-    official answer for originals. Scores override nominal difficulty when given."""
-    paths = pipe.paths(tag)
+    official answer for originals. With `use_scores`, scores override nominal difficulty."""
+    scores: dict[str, float] = {}
+    if use_scores:
+        _require(paths.scores, "score")
+        scores = load_scores(paths.scores)
     _require(paths.solutions, "solve")
-    accepted: dict[str, str] = {}
-    for _, record in jsonl.read_records(paths.solutions):
-        if record["status"] == "accepted":
-            accepted[record["question_id"]] = record["solution"]
-    items: list[GradedItem] = []
-    for template in pipe.cfg.synthesis.templates:
-        source = paths.verified_file(template)
-        _require(source, "verify")
-        for q in load_questions(source):
-            if q.status != "verified" or q.id not in accepted:
-                continue
-            score = scores.get(q.id, q.nominal_difficulty) if scores else q.nominal_difficulty
-            items.append(
-                GradedItem(
-                    question_id=q.id,
-                    question=q.question,
-                    solution=accepted[q.id],
-                    category_label=f"{tag}/{q.category}",
-                    difficulty_score=score,
-                )
-            )
+    accepted = {
+        r["question_id"]: r["solution"]
+        for _, r in jsonl.read_records(paths.solutions)
+        if r["status"] == "accepted"
+    }
+    items = [
+        GradedItem(
+            q.id,
+            q.question,
+            accepted[q.id],
+            f"{paths.tag}/{q.category}",
+            scores.get(q.id, q.nominal_difficulty),
+        )
+        for q in _verified_questions(pipe, paths)
+        if q.status == "verified" and q.id in accepted
+    ]
     original_source = paths.verified_file("original")
     _require(original_source, "verify")
-    for _, record in jsonl.read_records(original_source):
-        nominal = float(record["nominal_difficulty"])
-        score = scores.get(record["id"], nominal) if scores else nominal
+    for _, r in jsonl.read_records(original_source):
+        nominal = float(r["nominal_difficulty"])
         items.append(
             GradedItem(
-                question_id=record["id"],
-                question=record["question"],
-                solution=record["answer"],
-                category_label=f"{tag}/original",
-                difficulty_score=score,
+                r["id"],
+                r["question"],
+                r["answer"],
+                f"{paths.tag}/original",
+                scores.get(r["id"], nominal),
             )
         )
     return items
@@ -386,14 +394,9 @@ def _graded_items(
 
 def cmd_score(pipe: Pipeline) -> dict[str, Any]:
     providers = pipe.cfg.providers
-    failures = 0
-    details: dict[str, Any] = {}
-    for tag in pipe.tags():
-        paths = pipe.paths(tag)
-        if pipe.resume and _done(paths.scores):
-            details[tag] = {"skipped": True}
-            continue
-        items = _graded_items(pipe, tag, scores=None)
+
+    def run(paths: TagPaths, corpus: Corpus) -> tuple[int, Any]:
+        items = _graded_items(pipe, paths, use_scores=False)
         scores, missing = score_difficulty(
             items, pipe.chat, providers.models.scorer, max_in_flight=providers.max_in_flight
         )
@@ -402,140 +405,128 @@ def cmd_score(pipe: Pipeline) -> dict[str, Any]:
             paths.scores_missing,
             ({"question_id": qid, "reason": reason} for qid, reason in sorted(missing)),
         )
-        failures += len(missing)
-        details[tag] = {"scored": len(scores), "missing": len(missing)}
-    return {"failures": failures, "details": details}
+        return len(missing), {"scored": len(scores), "missing": len(missing)}
+
+    return _each_tag(pipe, run, lambda paths: [paths.scores, paths.scores_missing])
 
 
 def cmd_curriculum(pipe: Pipeline) -> dict[str, Any]:
     ccfg = pipe.cfg.curriculum
-    details: dict[str, Any] = {}
-    items_by_tag: dict[str, list[GradedItem]] = {}
-    for tag in pipe.tags():
-        paths = pipe.paths(tag)
-        scores = None
-        if ccfg.use_scores:
-            _require(paths.scores, "score")
-            scores = load_scores(paths.scores)
-        items = _graded_items(pipe, tag, scores)
-        items_by_tag[tag] = items
+    tag_items: list[list[GradedItem]] = []
+
+    def export(plan: CurriculumPlan, out_dir: Path, blended: bool = False) -> dict[str, Any]:
+        manifest = export_sft_stages(plan, out_dir, allow_empty=ccfg.allow_empty)
+        stages = [
+            {"name": s.name, "size": len(s.items), "mean": s.mean_difficulty}
+            | ({"categories": list(s.categories)} if blended else {})
+            for s in plan.stages
+        ]
+        return {"stages": stages, "manifest": str(manifest)}
+
+    def run(paths: TagPaths, corpus: Corpus) -> tuple[int, Any]:
+        items = _graded_items(pipe, paths, ccfg.use_scores)
+        tag_items.append(items)
         plan = build_pure_curriculum(items, allow_empty=ccfg.allow_empty)
-        manifest = export_sft_stages(plan, paths.curriculum, allow_empty=ccfg.allow_empty)
-        details[tag] = {
-            "stages": [
-                {"name": s.name, "size": len(s.items), "mean": s.mean_difficulty}
-                for s in plan.stages
-            ],
-            "manifest": str(manifest),
-        }
+        return 0, export(plan, paths.curriculum)
+
+    result = _each_tag(pipe, run)
     if ccfg.blend:
-        score_map: dict[str, float] = {}
-        for items in items_by_tag.values():
-            for item in items:
-                if item.difficulty_score is not None:
-                    score_map[item.question_id] = item.difficulty_score
-        plan = build_blended_curriculum(
-            list(items_by_tag.values()), score_map, grouping=ccfg.grouping
-        )
-        blended_dir = pipe.out / "artifacts" / "blended" / "curriculum"
-        manifest = export_sft_stages(plan, blended_dir, allow_empty=ccfg.allow_empty)
-        details["blended"] = {
-            "stages": [
-                {
-                    "name": s.name,
-                    "size": len(s.items),
-                    "mean": s.mean_difficulty,
-                    "categories": list(s.categories),
-                }
-                for s in plan.stages
-            ],
-            "manifest": str(manifest),
+        score_map = {
+            item.question_id: item.difficulty_score
+            for items in tag_items
+            for item in items
+            if item.difficulty_score is not None
         }
-    return {"failures": 0, "details": details}
+        plan = build_blended_curriculum(tag_items, score_map, grouping=ccfg.grouping)
+        blended_dir = pipe.out / "artifacts" / "blended" / "curriculum"
+        result["details"]["blended"] = export(plan, blended_dir, blended=True)
+    return result
 
 
 def cmd_stats(pipe: Pipeline) -> dict[str, Any]:
-    rows: list[tuple[str, dict[str, int]]] = []
-    for tag in pipe.tags():
-        paths = pipe.paths(tag)
-        counts: dict[str, int] = {}
-        for category in GENERATED_CATEGORIES:
+    """Count generated rows per category; a template that is not enabled counts 0."""
+
+    def run(paths: TagPaths, corpus: Corpus) -> tuple[int, Any]:
+        counts = dict.fromkeys(CATEGORIES, 0)
+        for category in (*pipe.cfg.synthesis.templates, "original"):
             source = paths.generated_file(category)
             _require(source, "generate")
             counts[category] = sum(1 for _ in jsonl.read_records(source))
         counts["total"] = sum(counts.values())
-        rows.append((tag, counts))
+        return 0, counts
+
+    result = _each_tag(pipe, run)
+    rows = list(result["details"].items())
+    columns = (*CATEGORIES, "total")
     if len(rows) > 1:
-        total = {
-            key: sum(counts[key] for _, counts in rows)
-            for key in (*GENERATED_CATEGORIES, "total")
-        }
-        rows.append(("all", total))
-    header = ("dataset", "decomposed", "original", "hybrid", "total")
-    widths = [max(len(header[0]), *(len(tag) for tag, _ in rows))] + [12] * 4
-    print("  ".join(h.rjust(w) for h, w in zip(header, widths)))
+        rows.append(("all", {key: sum(counts[key] for _, counts in rows) for key in columns}))
+        result["details"]["all"] = rows[-1][1]
+    widths = [max(len("dataset"), *(len(tag) for tag, _ in rows))] + [12] * len(columns)
+    print("  ".join(h.rjust(w) for h, w in zip(("dataset", *columns), widths)))
     for tag, counts in rows:
-        cells = [tag.rjust(widths[0])] + [
-            str(counts[key]).rjust(12) for key in ("decomposed", "original", "hybrid", "total")
-        ]
-        print("  ".join(cells))
-    return {"failures": 0, "details": {tag: counts for tag, counts in rows}}
+        print("  ".join([tag.rjust(widths[0])] + [str(counts[key]).rjust(12) for key in columns]))
+    return result
 
 
 def cmd_run_all(pipe: Pipeline) -> dict[str, Any]:
-    steps: list[tuple[str, Callable[[Pipeline], dict[str, Any]]]] = [
-        ("pair", cmd_pair),
-        ("generate", cmd_generate),
-        ("verify", cmd_verify),
-        ("solve", cmd_solve),
-    ]
-    if pipe.cfg.curriculum.use_scores:
-        steps.append(("score", cmd_score))
-    steps.extend([("curriculum", cmd_curriculum), ("stats", cmd_stats)])
     failures = 0
     details: dict[str, Any] = {}
-    for name, fn in steps:
-        result = _run_step(pipe, name, fn)
-        failures += result["failures"]
-        details[name] = result["details"]
+    for command in COMMAND_TABLE:
+        if command.in_run_all(pipe.cfg):
+            result = _run_step(pipe, command.name)
+            failures += result["failures"]
+            details[command.name] = result["details"]
     return {"failures": failures, "details": details}
 
 
-COMMANDS: dict[str, Callable[[Pipeline], dict[str, Any]]] = {
-    "pair": cmd_pair,
-    "generate": cmd_generate,
-    "verify": cmd_verify,
-    "review-export": cmd_review_export,
-    "review-import": cmd_review_import,
-    "solve": cmd_solve,
-    "score": cmd_score,
-    "curriculum": cmd_curriculum,
-    "stats": cmd_stats,
-    "run-all": cmd_run_all,
-}
+class Command(NamedTuple):
+    """One CLI command. run-all runs, in table order, those whose `in_run_all` holds."""
+
+    name: str
+    help: str
+    in_run_all: Callable[[RunConfig], bool] = lambda cfg: False
+
+
+def _always(cfg: RunConfig) -> bool:
+    return True
+
+
+# The one list of command names. Each runs the module-level function
+# `cmd_<name>`, looked up when it runs (see `_run_step`).
+COMMAND_TABLE = (
+    Command("pair", "embed seed questions and build similarity pairs", _always),
+    Command("generate", "synthesize hybrid/decomposed questions and emit originals", _always),
+    Command("verify", "run rubric verification over generated questions", _always),
+    Command("review-export", "export a seeded random sample for manual annotation"),
+    Command("review-import", "apply manual accept/reject annotations"),
+    Command("solve", "generate gated long-form solutions for verified questions", _always),
+    Command(
+        "score",
+        "score item difficulty with the scorer model",
+        lambda cfg: cfg.curriculum.use_scores,
+    ),
+    Command(
+        "curriculum", "build staged training files (pure, and blended if configured)", _always
+    ),
+    Command("stats", "print per-category dataset counts", _always),
+    Command("run-all", "run the automated stages end to end"),
+)
 
 # ValueError covers the module-specific error types (corpus, pairing,
 # synthesis, quality, solver, curriculum) and malformed artifact files.
 _EXPECTED_ERRORS = (ValueError, ProviderError, PrerequisiteError, OSError)
 
 
-def _run_step(
-    pipe: Pipeline, name: str, fn: Callable[[Pipeline], dict[str, Any]]
-) -> dict[str, Any]:
+def _run_step(pipe: Pipeline, name: str) -> dict[str, Any]:
+    # Resolved by name at call time, so a wrapper patched onto this module
+    # (as the benchmark's tracer does) is what runs, from run-all too.
+    fn = globals()["cmd_" + name.replace("-", "_")]
     started = time.monotonic()
     result = fn(pipe)
     duration = time.monotonic() - started
-    report = {
-        "command": name,
-        "failures": result["failures"],
-        "details": result["details"],
-        "duration_s": round(duration, 3),
-    }
-    report_path = pipe.out / "reports" / f"{name}.json"
-    report_path.parent.mkdir(parents=True, exist_ok=True)
-    report_path.write_text(
-        json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
+    jsonl.write_json(
+        pipe.out / "reports" / f"{name}.json",
+        {"command": name, **result, "duration_s": round(duration, 3)},
     )
     print(f"{name}: {result['failures']} failures ({duration:.2f}s)")
     return result
@@ -547,20 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Synthesize difficulty-graded math training data from a seed corpus.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    helps = {
-        "pair": "embed seed questions and build similarity pairs",
-        "generate": "synthesize hybrid/decomposed questions and emit originals",
-        "verify": "run rubric verification over generated questions",
-        "review-export": "export a seeded random sample for manual annotation",
-        "review-import": "apply manual accept/reject annotations",
-        "solve": "generate gated long-form solutions for verified questions",
-        "score": "score item difficulty with the scorer model",
-        "curriculum": "build staged training files (pure, and blended if configured)",
-        "stats": "print per-category dataset counts",
-        "run-all": "run the automated stages end to end",
-    }
-    for name, help_text in helps.items():
-        p = sub.add_parser(name, help=help_text)
+    for command in COMMAND_TABLE:
+        p = sub.add_parser(command.name, help=command.help)
         p.add_argument("--config", required=True, help="run configuration JSON file")
         p.add_argument("--out", help="output directory (overrides config out_dir)")
         p.add_argument("--seed", type=int, help="global random seed (overrides config)")
@@ -584,8 +563,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = dataclasses.replace(cfg, providers=dataclasses.replace(cfg.providers, mock=True))
     out_dir = Path(args.out) if args.out else Path(cfg.out_dir)
     try:
-        # Opening the pipeline loads the response cache, which rejects a
-        # corrupt log with a ValueError.
+        # Opening the pipeline parses the seed corpora and loads the response
+        # cache; either rejects malformed input with a ValueError.
         pipe = Pipeline(cfg, out_dir, resume=args.resume)
     except _EXPECTED_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -593,7 +572,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         pipe.write_config_copy()
         with pipe.pool.use():
-            result = _run_step(pipe, args.command, COMMANDS[args.command])
+            result = _run_step(pipe, args.command)
     except _EXPECTED_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FATAL

@@ -8,7 +8,6 @@ merged corpus from easy to hard.
 """
 from __future__ import annotations
 
-import json
 import re
 import warnings
 from dataclasses import dataclass
@@ -300,10 +299,7 @@ def export_sft_stages(
         )
     manifest = {"grouping": plan.grouping, "total_items": plan.total_items(), "stages": manifest_stages}
     manifest_path = out / "manifest.json"
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    jsonl.write_json(manifest_path, manifest)
     return manifest_path
 
 

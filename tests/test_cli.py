@@ -225,13 +225,107 @@ def test_seed_flag_changes_generations(tmp_path):
     assert copy["seed"] == 7
 
 
+def read_report(out: Path, step: str) -> dict:
+    return json.loads((out / "reports" / f"{step}.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.filterwarnings("ignore:stage mean difficulties are not non-decreasing")
 def test_resume_skips_completed_stages(tmp_path):
-    config_path, out = make_run(tmp_path, n_topics=3)
+    config_path, out = make_run(tmp_path, {"curriculum": {"use_scores": True}}, n_topics=3)
     assert cli.main(["run-all", "--config", str(config_path)]) == 0
     assert cli.main(["run-all", "--config", str(config_path), "--resume"]) == 0
-    for step in ("pair", "generate", "verify", "solve"):
-        report = json.loads((out / "reports" / f"{step}.json").read_text(encoding="utf-8"))
-        assert report["details"]["toy"] == {"skipped": True}
+    for step in ("pair", "generate", "verify", "solve", "score"):
+        assert read_report(out, step)["details"]["toy"] == {"skipped": True}
+    # curriculum and stats never skip
+    assert "stages" in read_report(out, "curriculum")["details"]["toy"]
+    assert read_report(out, "stats")["details"]["toy"]["total"] == 18
+
+
+@pytest.mark.filterwarnings("ignore:stage mean difficulties are not non-decreasing")
+def test_resume_reruns_a_stage_missing_any_of_its_outputs(tmp_path):
+    config_path, out = make_run(tmp_path, {"curriculum": {"use_scores": True}}, n_topics=3)
+    assert cli.main(["run-all", "--config", str(config_path)]) == 0
+    artifacts = out / "artifacts" / "toy"
+    lost = [artifacts / "verified" / "verify_errors.jsonl", artifacts / "scores" / "missing.jsonl"]
+    for path in lost:
+        path.unlink()
+
+    assert cli.main(["run-all", "--config", str(config_path), "--resume"]) == 0
+    assert all(path.exists() for path in lost)
+    assert read_report(out, "verify")["details"]["toy"]["hybrid"]["verified"] == 6
+    assert read_report(out, "score")["details"]["toy"] == {"scored": 18, "missing": 0}
+    for step in ("pair", "generate", "solve"):
+        assert read_report(out, step)["details"]["toy"] == {"skipped": True}
+
+
+@pytest.mark.filterwarnings("ignore:emitting empty stage")
+def test_stats_counts_a_disabled_template_as_zero(tmp_path, capsys):
+    overrides = {"synthesis": {"templates": ["hybrid"]}, "curriculum": {"allow_empty": True}}
+    config_path, out = make_run(tmp_path, overrides)
+    assert cli.main(["run-all", "--config", str(config_path)]) == cli.EXIT_OK
+    assert not (out / "artifacts" / "toy" / "generated" / "decomposed.jsonl").exists()
+
+    lines = capsys.readouterr().out.splitlines()
+    header = next(line.split() for line in lines if line.split()[:1] == ["dataset"])
+    toy = next(line.split() for line in lines if line.split()[:1] == ["toy"])
+    assert dict(zip(header, toy)) == {
+        "dataset": "toy",
+        "decomposed": "0",
+        "original": "20",
+        "hybrid": "20",
+        "total": "40",
+    }
+
+
+def test_blend_rejects_ids_shared_across_corpora_before_any_provider_call(
+    tmp_path, monkeypatch, capsys
+):
+    transports = []
+
+    def counting(**kwargs):
+        transports.append(MockTransport(**kwargs))
+        return transports[-1]
+
+    monkeypatch.setattr(cli, "MockTransport", counting)
+    seeds = [
+        write_corpus_file(tmp_path / f"{tag}.jsonl", topic_pair_corpus(n_topics=2))
+        for tag in ("left", "right")
+    ]
+    cfg = {
+        "seed_corpora": [{"path": str(seeds[0]), "tag": "left"}, {"path": str(seeds[1])}],
+        "out_dir": str(tmp_path / "out"),
+        "providers": {"mock": True},
+        "curriculum": {"blend": True},
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(cfg), encoding="utf-8")
+
+    assert cli.main(["run-all", "--config", str(config_path)]) == cli.EXIT_FATAL
+    err = capsys.readouterr().err
+    assert "'q00a'" in err and "'left'" in err and "'right'" in err
+    assert sum(t.calls for t in transports) == 0
+    assert not (tmp_path / "out" / "reports").exists()
+
+    # without blending, each corpus is staged on its own and shared ids are fine
+    cfg["curriculum"]["blend"] = False
+    config_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert cli.main(["run-all", "--config", str(config_path)]) == cli.EXIT_OK
+
+
+def test_run_all_calls_the_module_level_stage_functions(tmp_path, monkeypatch):
+    # a wrapper patched onto the module by name, as a tracer does, is what run-all runs
+    calls = {"cmd_pair": 0, "cmd_solve": 0}
+    for name in calls:
+        original = getattr(cli, name)
+
+        def counted(pipe, name=name, original=original):
+            calls[name] += 1
+            return original(pipe)
+
+        monkeypatch.setattr(cli, name, counted)
+    config_path, _ = make_run(tmp_path, n_topics=2)
+    assert cli.main(["run-all", "--config", str(config_path)]) == cli.EXIT_OK
+    assert calls == {"cmd_pair": 1, "cmd_solve": 1}
 
 
 # --- manual review loop -------------------------------------------------------------
