@@ -105,7 +105,7 @@ def _load_corpora(cfg: RunConfig) -> dict[str, Corpus]:
     corpora: dict[str, Corpus] = {}
     owners: dict[str, str] = {}
     for entry in cfg.seed_corpora:
-        corpora[entry.name] = corpus = load_corpus(entry.path, source_tag=entry.name)
+        corpora[entry.name] = corpus = load_corpus(entry.path)
         for problem in corpus.problems:
             owner = owners.setdefault(problem.id, entry.name)
             if cfg.curriculum.blend and owner != entry.name:
@@ -230,7 +230,6 @@ def cmd_generate(pipe: Pipeline) -> dict[str, Any]:
                 pipe.chat,
                 pipe.cfg.providers.models.generator,
                 pipe.cfg.synthesis,
-                max_in_flight=pipe.cfg.providers.max_in_flight,
             )
             save_questions(result.questions, paths.generated_file(template))
             save_skip_report(result.skipped, result.failures, paths.skips_file(template))
@@ -267,10 +266,7 @@ def cmd_verify(pipe: Pipeline) -> dict[str, Any]:
             source = paths.generated_file(template)
             _require(source, "generate")
             outcome = verify_dataset(
-                load_questions(source),
-                pipe.chat,
-                pipe.cfg.providers.models.verifier,
-                max_in_flight=pipe.cfg.providers.max_in_flight,
+                load_questions(source), pipe.chat, pipe.cfg.providers.models.verifier
             )
             save_questions(outcome.questions, paths.verified_file(template))
             verdicts.extend(outcome.verdicts)
@@ -337,12 +333,7 @@ def cmd_solve(pipe: Pipeline) -> dict[str, Any]:
             key=lambda q: q.id,
         )
         records = solve_dataset(
-            questions,
-            corpus.by_id(),
-            pipe.chat,
-            pipe.cfg.providers.models.solver,
-            pipe.cfg.solver,
-            max_in_flight=pipe.cfg.providers.max_in_flight,
+            questions, corpus.by_id(), pipe.chat, pipe.cfg.providers.models.solver, pipe.cfg.solver
         )
         save_solutions(records, paths.solutions)
         save_gate_reports(records, paths.gate_reports)
@@ -360,11 +351,13 @@ def _graded_items(pipe: Pipeline, paths: TagPaths, use_scores: bool) -> list[Gra
         _require(paths.scores, "score")
         scores = load_scores(paths.scores)
     _require(paths.solutions, "solve")
-    accepted = {
-        r["question_id"]: r["solution"]
-        for _, r in jsonl.read_records(paths.solutions)
-        if r["status"] == "accepted"
-    }
+    accepted = {}
+    for lineno, r in jsonl.read_records(paths.solutions):
+        qid, solution, status = jsonl.fields(
+            paths.solutions, lineno, r, question_id=str, solution=str, status=str
+        )
+        if status == "accepted":
+            accepted[qid] = solution
     items = [
         GradedItem(
             q.id,
@@ -378,15 +371,13 @@ def _graded_items(pipe: Pipeline, paths: TagPaths, use_scores: bool) -> list[Gra
     ]
     original_source = paths.verified_file("original")
     _require(original_source, "verify")
-    for _, r in jsonl.read_records(original_source):
-        nominal = float(r["nominal_difficulty"])
+    for lineno, r in jsonl.read_records(original_source):
+        qid, question, answer, nominal = jsonl.fields(
+            original_source, lineno, r, id=str, question=str, answer=str, nominal_difficulty=float
+        )
         items.append(
             GradedItem(
-                r["id"],
-                r["question"],
-                r["answer"],
-                f"{paths.tag}/original",
-                scores.get(r["id"], nominal),
+                qid, question, answer, f"{paths.tag}/original", scores.get(qid, float(nominal))
             )
         )
     return items
@@ -397,9 +388,7 @@ def cmd_score(pipe: Pipeline) -> dict[str, Any]:
 
     def run(paths: TagPaths, corpus: Corpus) -> tuple[int, Any]:
         items = _graded_items(pipe, paths, use_scores=False)
-        scores, missing = score_difficulty(
-            items, pipe.chat, providers.models.scorer, max_in_flight=providers.max_in_flight
-        )
+        scores, missing = score_difficulty(items, pipe.chat, providers.models.scorer)
         save_scores(scores, paths.scores)
         jsonl.write_records(
             paths.scores_missing,

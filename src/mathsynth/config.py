@@ -39,6 +39,8 @@ class CorpusEntry:
             raise ValueError(f"path not found: {self.path}")
         if not self.name.replace("-", "").replace("_", "").isalnum():
             raise ValueError(f"tag must be filesystem-safe, got {self.name!r}")
+        if self.name in ("all", "blended"):  # the stats total row; artifacts/blended/
+            raise ValueError(f"tag must not be the reserved name {self.name!r}")
 
     @property
     def name(self) -> str:

@@ -1,23 +1,19 @@
-"""Seed corpora: load, validate, persist, and summarize difficulty-annotated problems.
+"""Seed corpora: load and validate difficulty-annotated problems.
 
 A corpus file is UTF-8, one JSON object per line. Required keys: "question"
-(string), "answer" (string), "difficulty" (number). Optional: "id", "source".
-Unknown keys are preserved on round-trip.
+(string), "answer" (string), "difficulty" (number). Optional: "id". Other
+keys are ignored.
 """
 from __future__ import annotations
 
 import hashlib
 import math
 import re
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from types import MappingProxyType
-from typing import Any, Iterable, Mapping
+from typing import Any
 
 from . import jsonl
-
-KNOWN_KEYS = ("id", "question", "answer", "difficulty", "source")
 
 _WHITESPACE = re.compile(r"\s+")
 
@@ -50,8 +46,6 @@ class SeedProblem:
     question: str
     answer: str
     difficulty: float
-    source: str = ""
-    extra: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.id:
@@ -61,21 +55,6 @@ class SeedProblem:
         if not self.answer.strip():
             raise CorpusError("empty answer")
         object.__setattr__(self, "difficulty", _check_difficulty(self.difficulty))
-        object.__setattr__(self, "extra", MappingProxyType(dict(self.extra)))
-
-    def to_record(self) -> dict[str, Any]:
-        """Serialize with normalized field order; unknown keys follow, sorted."""
-        record: dict[str, Any] = {
-            "id": self.id,
-            "question": self.question,
-            "answer": self.answer,
-            "difficulty": self.difficulty,
-        }
-        if self.source:
-            record["source"] = self.source
-        for key in sorted(self.extra):
-            record[key] = self.extra[key]
-        return record
 
 
 @dataclass(frozen=True)
@@ -83,7 +62,6 @@ class Corpus:
     """An ordered, duplicate-free collection of seed problems."""
 
     problems: tuple[SeedProblem, ...]
-    name: str = ""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "problems", tuple(self.problems))
@@ -107,23 +85,8 @@ class Corpus:
         return {problem.id: problem for problem in self.problems}
 
 
-@dataclass(frozen=True)
-class CorpusStats:
-    """Counts partitioning a corpus by difficulty and by source."""
-
-    total: int
-    per_difficulty: Mapping[float, int]
-    per_source: Mapping[str, int]
-
-    def __post_init__(self) -> None:
-        if sum(self.per_difficulty.values()) != self.total:
-            raise CorpusError("difficulty histogram does not sum to total")
-        if sum(self.per_source.values()) != self.total:
-            raise CorpusError("source counts do not sum to total")
-
-
-def problem_from_record(record: dict[str, Any], source_tag: str = "") -> SeedProblem:
-    """Build a SeedProblem from a parsed record, validating the schema."""
+def problem_from_record(record: dict[str, Any]) -> SeedProblem:
+    """Build a SeedProblem from a parsed record, validating the schema; other keys are ignored."""
     for key in ("question", "answer", "difficulty"):
         if key not in record:
             raise CorpusError(f"missing field {key!r}")
@@ -133,23 +96,15 @@ def problem_from_record(record: dict[str, Any], source_tag: str = "") -> SeedPro
         raise CorpusError("question must be a non-empty string")
     if not isinstance(answer, str) or not answer.strip():
         raise CorpusError("answer must be a non-empty string")
-    difficulty = _check_difficulty(record["difficulty"])
     problem_id = record.get("id") or question_hash(question)
     if not isinstance(problem_id, str):
         raise CorpusError("id must be a string")
-    source = record.get("source") or source_tag
-    extra = {key: value for key, value in record.items() if key not in KNOWN_KEYS}
     return SeedProblem(
-        id=problem_id,
-        question=question,
-        answer=answer,
-        difficulty=difficulty,
-        source=source,
-        extra=extra,
+        id=problem_id, question=question, answer=answer, difficulty=record["difficulty"]
     )
 
 
-def load_corpus(path: str | Path, source_tag: str = "") -> Corpus:
+def load_corpus(path: str | Path) -> Corpus:
     """Load a line-delimited corpus file.
 
     Missing ids are assigned from the content hash of the question text.
@@ -162,7 +117,7 @@ def load_corpus(path: str | Path, source_tag: str = "") -> Corpus:
     seen_questions: dict[str, int] = {}
     for lineno, record in jsonl.read_records(path):
         try:
-            problem = problem_from_record(record, source_tag)
+            problem = problem_from_record(record)
         except CorpusError as exc:
             raise CorpusError(f"{path}: line {lineno}: {exc}") from None
         if problem.id in seen_ids:
@@ -178,21 +133,5 @@ def load_corpus(path: str | Path, source_tag: str = "") -> Corpus:
         seen_ids[problem.id] = lineno
         seen_questions[problem.question] = lineno
         problems.append(problem)
-    return Corpus(problems=tuple(problems), name=source_tag or path.stem)
+    return Corpus(problems=tuple(problems))
 
-
-def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write a corpus back out; load_corpus(save_corpus(c)) preserves record content."""
-    jsonl.write_records(path, (problem.to_record() for problem in corpus.problems))
-
-
-def corpus_stats(corpus: Corpus | Iterable[SeedProblem]) -> CorpusStats:
-    """Count problems by difficulty level and by source tag."""
-    problems = corpus.problems if isinstance(corpus, Corpus) else tuple(corpus)
-    per_difficulty = Counter(problem.difficulty for problem in problems)
-    per_source = Counter(problem.source for problem in problems)
-    return CorpusStats(
-        total=len(problems),
-        per_difficulty=dict(sorted(per_difficulty.items())),
-        per_source=dict(sorted(per_source.items())),
-    )

@@ -12,7 +12,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import jsonl
 from .prompts import render_scoring_prompt
@@ -163,11 +163,7 @@ def _clamp_score(value: float, question_id: str) -> float:
 
 
 def score_difficulty(
-    items: Sequence[GradedItem],
-    client: ChatClient,
-    model: str,
-    *,
-    max_in_flight: int = 8,
+    items: Sequence[GradedItem], client: ChatClient, model: str
 ) -> tuple[list[DifficultyScore], list[tuple[str, str]]]:
     """One difficulty score per item; unparseable responses get one retry, then go missing."""
 
@@ -183,7 +179,7 @@ def score_difficulty(
                 cache_salt=f"score:{item.question_id}:{attempt}",
             )
             try:
-                content = client.complete(request).content
+                content = client.complete(request)
             except ProviderError as exc:
                 return (item.question_id, f"provider: {exc}")
             value = parse_score(content)
@@ -196,7 +192,7 @@ def score_difficulty(
             last_reason = f"no number in scorer response: {content[:80]!r}"
         return (item.question_id, last_reason)
 
-    results = map_bounded(run_one, list(items), max_in_flight)
+    results = map_bounded(run_one, list(items), client.cfg.max_in_flight)
     scores = [r for r in results if isinstance(r, DifficultyScore)]
     missing = [r for r in results if not isinstance(r, DifficultyScore)]
     return scores, missing
@@ -314,4 +310,8 @@ def save_scores(scores: Sequence[DifficultyScore], path: str | Path) -> None:
 
 
 def load_scores(path: str | Path) -> dict[str, float]:
-    return {record["question_id"]: float(record["score"]) for _, record in jsonl.read_records(path)}
+    rows = (
+        jsonl.fields(path, lineno, record, question_id=str, score=float)
+        for lineno, record in jsonl.read_records(path)
+    )
+    return {question_id: float(score) for question_id, score in rows}

@@ -32,6 +32,25 @@ def read_records(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
             yield lineno, record
 
 
+def fields(path: str | Path, lineno: int, record: dict[str, Any], **kinds: type) -> list[Any]:
+    """`record`'s values under the keys of `kinds`, in order, each checked against its kind.
+
+    A kind is `str` or `float` (any JSON number but a bool). A missing key or
+    a value of another kind is a ValueError naming the file and line.
+    """
+    values = []
+    for key, kind in kinds.items():
+        if key not in record:
+            raise ValueError(f"{path}: line {lineno}: missing field {key!r}")
+        value = record[key]
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            expected = "a number" if kind is float else "a string"
+            raise ValueError(f"{path}: line {lineno}: {key} must be {expected}, got {value!r}")
+        values.append(value)
+    return values
+
+
 def dump_json(obj: Any) -> str:
     """Serialize one pretty-printed JSON document: sorted keys, two-space indent, LF-terminated."""
     return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"

@@ -8,7 +8,7 @@ bit-identical to a double-loop oracle.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -34,10 +34,10 @@ class PairingError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingVector:
-    """A fixed-length embedding with its Euclidean norm cached at construction."""
+    """A fixed-length float64 embedding with its Euclidean norm computed once, at construction."""
 
     values: np.ndarray
-    norm: float
+    norm: float = field(init=False)
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
@@ -45,17 +45,11 @@ class EmbeddingVector:
             raise PairingError("embedding must be a non-empty 1-D vector")
         if not np.all(np.isfinite(values)):
             raise PairingError("embedding contains non-finite values")
+        norm = float(np.linalg.norm(values))
+        if not 0.0 < norm < np.inf:  # zero, or overflowed from finite components
+            raise PairingError(f"embedding norm must be positive and finite, got {norm}")
         object.__setattr__(self, "values", values)
-        actual = float(np.linalg.norm(values))
-        if not 0.0 < actual < np.inf:  # zero, or overflowed from finite components
-            raise PairingError(f"embedding norm must be positive and finite, got {actual}")
-        if abs(actual - self.norm) > 1e-9 * actual:
-            raise PairingError("cached norm does not match the vector")
-
-    @classmethod
-    def from_values(cls, values: Sequence[float] | np.ndarray) -> "EmbeddingVector":
-        arr = np.asarray(values, dtype=np.float64)
-        return cls(values=arr, norm=float(np.linalg.norm(arr)))
+        object.__setattr__(self, "norm", norm)
 
     @property
     def dim(self) -> int:

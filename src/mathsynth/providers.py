@@ -144,14 +144,6 @@ class ChatRequest:
         return cache_key("/chat/completions", self.payload(), self.cache_salt)
 
 
-@dataclass(frozen=True)
-class ChatResponse:
-    content: str
-    cached: bool
-    attempts: int
-    key: str
-
-
 class ResponseCache:
     """Disk cache of raw response bodies: one append-only log under `root`.
 
@@ -550,16 +542,18 @@ class ChatClient:
         self.cache = cache
         self.stats = ProviderStats()
 
-    def complete(self, request: ChatRequest) -> ChatResponse:
+    def complete(self, request: ChatRequest) -> str:
+        """The reply text; a malformed cached entry raises ProviderError naming its key."""
         key = request.key()
         self.stats.bump("requests")
         if self.cache is not None:
             body = self.cache.get(key)
             if body is not None:
                 self.stats.bump("cache_hits")
-                return ChatResponse(
-                    content=_extract_content(body, key), cached=True, attempts=0, key=key
-                )
+                try:
+                    return _extract_content(body, key)
+                except TransportError as exc:
+                    raise ProviderError(f"malformed chat cache entry {key}: {exc}") from exc
         payload = request.payload()
 
         def attempt_once() -> tuple[dict[str, Any], str]:
@@ -567,16 +561,16 @@ class ChatClient:
             return body, _extract_content(body, key)
 
         failure = f"chat completion failed after {self.cfg.max_retries} attempts"
-        (body, content), attempt = _with_retries(attempt_once, self.cfg, self.stats, failure)
+        body, content = _with_retries(attempt_once, self.cfg, self.stats, failure)
         if self.cache is not None:
             self.cache.put(key, "/chat/completions", request.cache_salt, body)
-        return ChatResponse(content=content, cached=False, attempts=attempt, key=key)
+        return content
 
 
 def _with_retries(
     call: Callable[[], R], cfg: ProviderConfig, stats: ProviderStats, failure: str
-) -> tuple[R, int]:
-    """`call()` and the attempt that returned it, out of at most `cfg.max_retries`.
+) -> R:
+    """`call()`, tried at most `cfg.max_retries` times.
 
     A retryable TransportError sleeps `backoff_base * 2**(attempt - 1)` and
     tries again; a non-retryable one, or the last, becomes a ProviderError
@@ -585,7 +579,7 @@ def _with_retries(
     for attempt in range(1, cfg.max_retries + 1):
         stats.bump("transport_calls")
         try:
-            return call(), attempt
+            return call()
         except TransportError as exc:
             if not exc.retryable or attempt == cfg.max_retries:
                 raise ProviderError(f"{failure}: {exc}") from exc
@@ -681,11 +675,11 @@ class EmbeddingClient:
                         f"embedding count mismatch: sent {len(batch)}, got {len(data)}",
                         retryable=True,
                     )
-                return [EmbeddingVector.from_values(d["embedding"]) for d in data]
+                return [EmbeddingVector(d["embedding"]) for d in data]
             except (KeyError, TypeError) as exc:  # not retried
                 raise ProviderError(f"malformed embedding response: {exc!r}") from exc
 
-        return _with_retries(attempt_once, self.cfg, self.stats, "embedding request failed")[0]
+        return _with_retries(attempt_once, self.cfg, self.stats, "embedding request failed")
 
 
 def _encode_vector(vector: EmbeddingVector) -> dict[str, str]:
@@ -697,7 +691,7 @@ def _decode_vector(body: dict[str, Any], key: str) -> EmbeddingVector:
     """The vector of a cached embedding entry; a malformed entry is an error naming its key."""
     try:
         raw = base64.b64decode(body[EmbeddingClient.ENCODING], validate=True)
-        return EmbeddingVector.from_values(np.frombuffer(raw, dtype="<f8"))
+        return EmbeddingVector(np.frombuffer(raw, dtype="<f8"))
     except (KeyError, TypeError, ValueError) as exc:  # bad base64, length or vector
         raise ProviderError(f"malformed embedding cache entry {key}: {exc}") from exc
 

@@ -142,8 +142,7 @@ def verify_question(
         max_tokens=512,
         cache_salt=f"verify:{question.id}",
     )
-    response = client.complete(request)
-    return parse_verdict(response.content, question.id)
+    return parse_verdict(client.complete(request), question.id)
 
 
 @dataclass(frozen=True)
@@ -154,11 +153,7 @@ class VerificationOutcome:
 
 
 def verify_dataset(
-    questions: Sequence[SynthesizedQuestion],
-    client: ChatClient,
-    model: str,
-    *,
-    max_in_flight: int = 8,
+    questions: Sequence[SynthesizedQuestion], client: ChatClient, model: str
 ) -> VerificationOutcome:
     """Verify every unverified question; unparseable verdicts leave items unverified.
 
@@ -178,7 +173,7 @@ def verify_dataset(
         status = "verified" if verdict.overall else "rejected"
         return question.with_status(status), verdict, None
 
-    results = map_bounded(run_one, list(questions), max_in_flight)
+    results = map_bounded(run_one, list(questions), client.cfg.max_in_flight)
     updated = tuple(q for q, _, _ in results)
     verdicts = tuple(v for _, v, _ in results if v is not None)
     errors = tuple(e for _, _, e in results if e is not None)

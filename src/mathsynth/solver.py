@@ -249,7 +249,7 @@ def solve_with_gates(
             cache_salt=f"solve:{question.id}:{attempt}",
         )
         try:
-            text = client.complete(request).content
+            text = client.complete(request)
         except ProviderError as exc:
             report = GateReport(
                 passed=False, final_answer="", failures=(f"provider: {exc}",), stats=()
@@ -281,8 +281,6 @@ def solve_dataset(
     client: ChatClient,
     model: str,
     cfg: GateConfig | None = None,
-    *,
-    max_in_flight: int = 8,
 ) -> list[SolutionRecord]:
     """Solve every verified question; caller filters statuses beforehand if needed."""
     cfg = cfg or GateConfig()
@@ -297,7 +295,7 @@ def solve_dataset(
             raise SolverError(f"{question.id}: unknown parent id {exc}") from None
         return solve_with_gates(question, parents, client, model, cfg)
 
-    return map_bounded(run_one, list(questions), max_in_flight)
+    return map_bounded(run_one, list(questions), client.cfg.max_in_flight)
 
 
 def save_solutions(records: Sequence[SolutionRecord], path: str | Path) -> None:

@@ -47,7 +47,6 @@ class SynthesizedQuestion:
     nominal_difficulty: float
     parent_low_id: str
     parent_high_id: str
-    raw_generation: str = ""
     status: str = "unverified"
 
     def __post_init__(self) -> None:
@@ -86,7 +85,6 @@ class SynthesizedQuestion:
             nominal_difficulty=float(record["nominal_difficulty"]),
             parent_low_id=record["parent_low_id"],
             parent_high_id=record["parent_high_id"],
-            raw_generation=record.get("raw_generation", ""),
             status=record.get("status", "unverified"),
         )
 
@@ -175,7 +173,6 @@ class SynthesisResult:
     parse errors. Every seed lands in exactly one of the three buckets.
     """
 
-    template: str
     questions: tuple[SynthesizedQuestion, ...]
     skipped: tuple[tuple[str, str], ...]
     failures: tuple[tuple[str, str], ...]
@@ -188,8 +185,6 @@ def synthesize_category(
     client: ChatClient,
     model: str,
     cfg: SynthesisConfig | None = None,
-    *,
-    max_in_flight: int = 8,
 ) -> SynthesisResult:
     """Generate one question per pairable seed; one salted retry on parse failure."""
     if template not in GENERATION_TEMPLATES:
@@ -213,11 +208,11 @@ def synthesize_category(
                 cache_salt=f"gen:{template}:{seed.id}:{attempt}",
             )
             try:
-                response = client.complete(request)
+                content = client.complete(request)
             except ProviderError as exc:
                 return ("fail", (seed.id, f"provider: {exc}"))
             try:
-                body = parse_generation(response.content, template)
+                body = parse_generation(content, template)
             except GenerationParseError as exc:
                 last_reason = str(exc)
                 continue
@@ -230,17 +225,15 @@ def synthesize_category(
                 ),
                 parent_low_id=pair.low.id,
                 parent_high_id=pair.high.id,
-                raw_generation=response.content,
             )
             return ("ok", question)
         return ("fail", (seed.id, f"parse: {last_reason}"))
 
-    outcomes = map_bounded(run_one, seeds, max_in_flight)
+    outcomes = map_bounded(run_one, seeds, client.cfg.max_in_flight)
     questions = [payload for kind, payload in outcomes if kind == "ok"]
     skipped = [payload for kind, payload in outcomes if kind == "skip"]
     failures = [payload for kind, payload in outcomes if kind == "fail"]
     return SynthesisResult(
-        template=template,
         questions=tuple(questions),
         skipped=tuple(skipped),
         failures=tuple(failures),

@@ -14,9 +14,7 @@ from mathsynth.providers import ChatClient, MockTransport, ProviderConfig, Respo
 FAST_CFG = ProviderConfig(max_retries=3, backoff_base=0.0)
 
 
-def topic_pair_corpus(
-    n_topics: int = 10, difficulties: tuple[float, float] = (3.0, 6.0), name: str = "toy"
-) -> Corpus:
+def topic_pair_corpus(n_topics: int = 10, difficulties: tuple[float, float] = (3.0, 6.0)) -> Corpus:
     """A corpus of n_topics related pairs.
 
     The two questions of a topic share their first 24 characters, which the
@@ -44,13 +42,17 @@ def topic_pair_corpus(
                 difficulty=high,
             )
         )
-    return Corpus(problems=tuple(problems), name=name)
+    return Corpus(problems=tuple(problems))
 
 
 def write_corpus_file(path: Path, corpus: Corpus) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
+    keys = ("id", "question", "answer", "difficulty")
     path.write_text(
-        "".join(json.dumps(p.to_record(), ensure_ascii=False) + "\n" for p in corpus.problems),
+        "".join(
+            json.dumps({key: getattr(p, key) for key in keys}, ensure_ascii=False) + "\n"
+            for p in corpus.problems
+        ),
         encoding="utf-8",
     )
     return path
@@ -62,10 +64,11 @@ def make_chat(
     cache_dir: Path | None = None,
     max_retries: int = 3,
     latency: float = 0.0,
+    max_in_flight: int = 8,
 ) -> tuple[ChatClient, MockTransport]:
     transport = MockTransport(seed=seed, script=script, latency=latency)
     cache = ResponseCache(cache_dir) if cache_dir is not None else None
-    cfg = ProviderConfig(max_retries=max_retries, backoff_base=0.0)
+    cfg = ProviderConfig(max_retries=max_retries, backoff_base=0.0, max_in_flight=max_in_flight)
     return ChatClient(transport, cfg, cache), transport
 
 

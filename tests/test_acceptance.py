@@ -21,7 +21,7 @@ import mathsynth.cli as cli
 from conftest import make_chat, topic_pair_corpus, write_corpus_file
 from mathsynth.curriculum import build_blended_curriculum, build_pure_curriculum
 from mathsynth.pairing import EmbeddingVector, PairingConfig, build_pairs, cosine_similarity
-from mathsynth.providers import ChatRequest, MockTransport, map_bounded
+from mathsynth.providers import ChatRequest, map_bounded
 from mathsynth.quality import (
     DIMENSIONS,
     parse_verdict,
@@ -88,15 +88,15 @@ def test_criterion_02_cosine_kernel_properties():
             v = rng.normal(size=12)
             w = rng.normal(size=12)
             k, m = rng.uniform(0.1, 10.0, size=2)
-            ev, ew = EmbeddingVector.from_values(v), EmbeddingVector.from_values(w)
+            ev, ew = EmbeddingVector(v), EmbeddingVector(w)
             assert abs(cosine_similarity(ev, ev) - 1.0) <= 1e-9
             scaled = cosine_similarity(
-                EmbeddingVector.from_values(k * v), EmbeddingVector.from_values(m * w)
+                EmbeddingVector(k * v), EmbeddingVector(m * w)
             )
             assert abs(scaled - cosine_similarity(ev, ew)) <= 1e-9
         hand = cosine_similarity(
-            EmbeddingVector.from_values([1.0, 2.0, 3.0]),
-            EmbeddingVector.from_values([4.0, 5.0, 6.0]),
+            EmbeddingVector([1.0, 2.0, 3.0]),
+            EmbeddingVector([4.0, 5.0, 6.0]),
         )
         assert abs(hand - 0.974632) <= 1e-6
 
@@ -274,11 +274,11 @@ def test_criterion_10_provider_concurrency_and_cache(tmp_path):
         first = map_bounded(client.complete, requests, max_in_flight=8)
         assert transport.max_concurrent <= 8
         assert transport.calls == 500
-        assert all(not r.cached for r in first)
+        assert client.stats.snapshot()["cache_hits"] == 0
 
         again = map_bounded(client.complete, requests, max_in_flight=8)
         assert transport.calls == 500  # cache absorbed the entire second burst
-        assert all(r.cached for r in again)
-        assert [r.content for r in again] == [r.content for r in first]
+        assert client.stats.snapshot()["cache_hits"] == 500
+        assert again == first
 
     _report(10, "providers: 500-burst in-flight bound and zero-call warm replay", check)

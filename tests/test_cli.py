@@ -140,6 +140,25 @@ def test_duplicate_tags_are_usage_errors(tmp_path, capsys):
     assert "unique" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("file_name,tag", [("seeds.jsonl", "blended"), ("all.jsonl", None)])
+def test_reserved_tags_are_usage_errors(tmp_path, capsys, file_name, tag):
+    """`blended` would share artifacts/blended/ with the blended curriculum and
+    `all` the stats total row; a file stem serves as the tag when none is given."""
+    seeds = write_corpus_file(tmp_path / file_name, topic_pair_corpus(n_topics=2))
+    out = tmp_path / "out"
+    cfg = {
+        "seed_corpora": [{"path": str(seeds)} | ({"tag": tag} if tag else {})],
+        "out_dir": str(out),
+        "providers": {"mock": True},
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert cli.main(["run-all", "--config", str(config_path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "seed_corpora[0].tag must not be the reserved name" in err
+    assert repr(tag or "all") in err and not out.exists()
+
+
 # --- pipeline ordering ----------------------------------------------------------
 
 
@@ -256,6 +275,34 @@ def test_resume_reruns_a_stage_missing_any_of_its_outputs(tmp_path):
     assert read_report(out, "score")["details"]["toy"] == {"scored": 18, "missing": 0}
     for step in ("pair", "generate", "solve"):
         assert read_report(out, step)["details"]["toy"] == {"skipped": True}
+
+
+@pytest.mark.filterwarnings("ignore:stage mean difficulties are not non-decreasing")
+@pytest.mark.parametrize(
+    "artifact,row,fragment",
+    [
+        ("scores/scores.jsonl", {"question_id": "x"}, "missing field 'score'"),
+        (
+            "solutions/solutions.jsonl",
+            {"question_id": "x", "solution": None, "status": "accepted"},
+            "solution must be a string, got None",
+        ),
+        (
+            "verified/original.jsonl",
+            {"id": "x", "question": "q", "answer": "1", "nominal_difficulty": "3"},
+            "nominal_difficulty must be a number, got '3'",
+        ),
+    ],
+)
+def test_malformed_artifact_row_names_its_file_and_line(tmp_path, capsys, artifact, row, fragment):
+    config_path, out = make_run(tmp_path, {"curriculum": {"use_scores": True}}, n_topics=3)
+    assert cli.main(["run-all", "--config", str(config_path)]) == cli.EXIT_OK
+    path = out / "artifacts" / "toy" / artifact
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join([json.dumps(row), *lines[1:]]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["curriculum", "--config", str(config_path)]) == cli.EXIT_FATAL
+    assert capsys.readouterr().err == f"error: {path}: line 1: {fragment}\n"
 
 
 @pytest.mark.filterwarnings("ignore:emitting empty stage")

@@ -137,8 +137,8 @@ def test_difficulty_score_range():
 
 def test_score_difficulty_happy_path():
     items = [_item(f"hybrid:q{i}", "toy/hybrid") for i in range(4)]
-    client, _ = make_chat()
-    scores, missing = score_difficulty(items, client, "scorer-model", max_in_flight=1)
+    client, _ = make_chat(max_in_flight=1)
+    scores, missing = score_difficulty(items, client, "scorer-model")
     assert missing == []
     assert {s.question_id for s in scores} == {i.question_id for i in items}
     assert all(1.0 <= s.score <= 10.0 for s in scores)
@@ -148,8 +148,10 @@ def test_score_difficulty_happy_path():
 def test_score_difficulty_retry_then_missing():
     noisy = _item("hybrid:noisy", "toy/hybrid", question="an unratable question")
     clean = _item("hybrid:clean", "toy/hybrid")
-    client, transport = make_chat(script={"an unratable question": "no numbers here"})
-    scores, missing = score_difficulty([noisy, clean], client, "m", max_in_flight=1)
+    client, transport = make_chat(
+        script={"an unratable question": "no numbers here"}, max_in_flight=1
+    )
+    scores, missing = score_difficulty([noisy, clean], client, "m")
     assert [s.question_id for s in scores] == ["hybrid:clean"]
     assert missing == [("hybrid:noisy", "no number in scorer response: 'no numbers here'")]
     assert transport.calls == 3  # two salted attempts for the noisy item
@@ -157,18 +159,19 @@ def test_score_difficulty_retry_then_missing():
 
 def test_score_difficulty_clamps_out_of_range():
     item = _item("hybrid:hot", "toy/hybrid", question="an impossible question")
-    client, _ = make_chat(script={"an impossible question": "Difficulty: 15/10"})
+    client, _ = make_chat(script={"an impossible question": "Difficulty: 15/10"}, max_in_flight=1)
     with pytest.warns(UserWarning, match="clamped"):
-        scores, missing = score_difficulty([item], client, "m", max_in_flight=1)
+        scores, missing = score_difficulty([item], client, "m")
     assert missing == [] and scores[0].score == 10.0
 
 
 def test_score_difficulty_provider_error_goes_missing():
     item = _item("hybrid:down", "toy/hybrid", question="a question nobody hears")
     client, _ = make_chat(
-        script={"a question nobody hears": TransportError("down", retryable=False)}
+        script={"a question nobody hears": TransportError("down", retryable=False)},
+        max_in_flight=1,
     )
-    scores, missing = score_difficulty([item], client, "m", max_in_flight=1)
+    scores, missing = score_difficulty([item], client, "m")
     assert scores == [] and missing[0][0] == "hybrid:down"
     assert missing[0][1].startswith("provider:")
 

@@ -65,7 +65,7 @@ def random_corpus(n: int, dim: int, seed: int) -> tuple[Corpus, dict[str, np.nda
 
 
 def as_embeddings(vectors: dict[str, np.ndarray]) -> dict[str, EmbeddingVector]:
-    return {k: EmbeddingVector.from_values(v) for k, v in vectors.items()}
+    return {k: EmbeddingVector(v) for k, v in vectors.items()}
 
 
 def pair_set(pairs):
@@ -99,8 +99,8 @@ def test_build_pairs_matches_oracle_property(n, dim, seed, tau):
 
 
 def test_cosine_hand_value():
-    a = EmbeddingVector.from_values([1.0, 2.0, 3.0])
-    b = EmbeddingVector.from_values([4.0, 5.0, 6.0])
+    a = EmbeddingVector([1.0, 2.0, 3.0])
+    b = EmbeddingVector([4.0, 5.0, 6.0])
     # 32 / (sqrt(14) * sqrt(77)), frozen to six decimals
     assert cosine_similarity(a, b) == pytest.approx(0.974632, abs=1e-6)
     assert cosine_similarity(a, b) == cosine_similarity(b, a)
@@ -111,10 +111,10 @@ def test_cosine_self_and_scaling_invariance():
     for _ in range(200):
         v = rng.normal(size=16)
         w = rng.normal(size=16)
-        ev, ew = EmbeddingVector.from_values(v), EmbeddingVector.from_values(w)
+        ev, ew = EmbeddingVector(v), EmbeddingVector(w)
         assert abs(cosine_similarity(ev, ev) - 1.0) <= 1e-9
         scaled = cosine_similarity(
-            EmbeddingVector.from_values(3.0 * v), EmbeddingVector.from_values(0.5 * w)
+            EmbeddingVector(3.0 * v), EmbeddingVector(0.5 * w)
         )
         assert abs(scaled - cosine_similarity(ev, ew)) <= 1e-9
 
@@ -122,23 +122,22 @@ def test_cosine_self_and_scaling_invariance():
 def test_cosine_dimension_mismatch():
     with pytest.raises(PairingError):
         cosine_similarity(
-            EmbeddingVector.from_values([1.0, 0.0]),
-            EmbeddingVector.from_values([1.0, 0.0, 0.0]),
+            EmbeddingVector([1.0, 0.0]),
+            EmbeddingVector([1.0, 0.0, 0.0]),
         )
 
 
 def test_embedding_vector_validation():
     with pytest.raises(PairingError):
-        EmbeddingVector.from_values([0.0, 0.0])
+        EmbeddingVector([0.0, 0.0])
     with pytest.raises(PairingError):
-        EmbeddingVector.from_values([1.0, float("nan")])
+        EmbeddingVector([1.0, float("nan")])
     with pytest.raises(PairingError):
-        EmbeddingVector.from_values([[1.0, 2.0], [3.0, 4.0]])
-    with pytest.raises(PairingError):
-        EmbeddingVector(values=np.array([1.0, 0.0]), norm=2.0)
+        EmbeddingVector([[1.0, 2.0], [3.0, 4.0]])
+    assert EmbeddingVector([3.0, 4.0]).norm == 5.0
     # each component is finite, but the norm overflows to inf
     with np.errstate(over="ignore"), pytest.raises(PairingError, match="finite, got inf"):
-        EmbeddingVector.from_values([1e308, 1.0])
+        EmbeddingVector([1e308, 1.0])
 
 
 # --- pair semantics --------------------------------------------------------
@@ -163,7 +162,7 @@ def test_pair_orientation_enforced():
 def test_equal_difficulty_never_pairs():
     problems = (_problem("a", 4.0), _problem("b", 4.0))
     v = np.array([1.0, 0.0])
-    embeddings = {"a": EmbeddingVector.from_values(v), "b": EmbeddingVector.from_values(v)}
+    embeddings = {"a": EmbeddingVector(v), "b": EmbeddingVector(v)}
     cfg = PairingConfig(tau=0.8)
     assert build_pairs(Corpus(problems=problems), embeddings, cfg) == []
 
@@ -182,7 +181,7 @@ def test_cap_requires_mutual_top_rank():
     # they never pair with each other. With cap=1 only H-A is mutual.
     angles = {"h": 0.0, "a": 0.08, "b": -0.12, "c": 0.16}
     embeddings = {
-        k: EmbeddingVector.from_values([np.cos(t), np.sin(t)]) for k, t in angles.items()
+        k: EmbeddingVector([np.cos(t), np.sin(t)]) for k, t in angles.items()
     }
     problems = (
         _problem("h", 1.0),
@@ -242,7 +241,7 @@ def test_generation_pairs_match_select_generation_pair(edges):
 
 def test_missing_embedding_is_an_error():
     corpus = Corpus(problems=(_problem("a", 1.0), _problem("b", 2.0)))
-    embeddings = {"a": EmbeddingVector.from_values([1.0, 0.0])}
+    embeddings = {"a": EmbeddingVector([1.0, 0.0])}
     with pytest.raises(PairingError, match="'b'"):
         build_pairs(corpus, embeddings, PairingConfig(tau=0.8))
 
@@ -252,7 +251,7 @@ def test_missing_embedding_is_an_error():
 
 def test_pairs_round_trip(tmp_path, toy_corpus):
     embeddings = {
-        p.id: EmbeddingVector.from_values(mock_embedding(p.question))
+        p.id: EmbeddingVector(mock_embedding(p.question))
         for p in toy_corpus.problems
     }
     pairs = build_pairs(toy_corpus, embeddings, PairingConfig(tau=0.8))

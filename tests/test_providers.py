@@ -85,9 +85,9 @@ def test_mock_is_deterministic():
 
 def test_mock_embedding_prefix_geometry():
     shared = "Topic 07 inventory count puzzle"
-    a = EmbeddingVector.from_values(mock_embedding(f"{shared} with crates"))
-    b = EmbeddingVector.from_values(mock_embedding(f"{shared} with pallets and more"))
-    c = EmbeddingVector.from_values(mock_embedding("A completely unrelated geometry riddle"))
+    a = EmbeddingVector(mock_embedding(f"{shared} with crates"))
+    b = EmbeddingVector(mock_embedding(f"{shared} with pallets and more"))
+    c = EmbeddingVector(mock_embedding("A completely unrelated geometry riddle"))
     assert cosine_similarity(a, b) > 0.99
     assert abs(cosine_similarity(a, c)) < 0.5
     assert abs(a.norm - 1.0) < 1e-9
@@ -104,16 +104,15 @@ def test_unknown_mock_endpoint():
 def test_cache_hit_skips_transport(tmp_path):
     client, transport = make_chat(cache_dir=tmp_path / "cache")
     first = client.complete(_req())
+    assert (transport.calls, client.stats.snapshot()["cache_hits"]) == (1, 0)
     second = client.complete(_req())
-    assert transport.calls == 1
-    assert (first.cached, first.attempts) == (False, 1)
-    assert (second.cached, second.attempts) == (True, 0)
-    assert second.content == first.content
+    assert (transport.calls, client.stats.snapshot()["cache_hits"]) == (1, 1)
+    assert second == first
 
     # a brand-new client over the same cache directory never hits the wire
     fresh_client, fresh_transport = make_chat(cache_dir=tmp_path / "cache")
     replay = fresh_client.complete(_req())
-    assert fresh_transport.calls == 0 and replay.content == first.content
+    assert fresh_transport.calls == 0 and replay == first
     assert fresh_client.stats.snapshot()["cache_hits"] == 1
 
 
@@ -122,18 +121,17 @@ def test_distinct_salts_are_distinct_cache_entries(tmp_path):
     one = client.complete(_req(salt="attempt:1"))
     two = client.complete(_req(salt="attempt:2"))
     assert transport.calls == 2
-    assert one.key != two.key
-    assert one.content != two.content
+    assert _req(salt="attempt:1").key() != _req(salt="attempt:2").key()
+    assert one != two
 
 
 def test_retryable_failure_then_success():
     script = {"ping": [TransportError("boom", retryable=True), "pong"]}
     client, transport = make_chat(script=script)
-    response = client.complete(_req("ping"))
-    assert response.content == "pong"
-    assert response.attempts == 2
+    assert client.complete(_req("ping")) == "pong"
     assert transport.calls == 2
-    assert client.stats.snapshot()["retries"] == 1
+    snap = client.stats.snapshot()
+    assert (snap["transport_calls"], snap["retries"]) == (2, 1)
 
 
 def test_non_retryable_fails_immediately():
@@ -172,8 +170,46 @@ def test_failed_responses_are_not_cached(tmp_path):
     with pytest.raises(ProviderError):
         client.complete(_req("ping"))
     healthy, healthy_transport = make_chat(cache_dir=tmp_path / "cache")
-    response = healthy.complete(_req("ping"))
-    assert response.cached is False and healthy_transport.calls == 1
+    healthy.complete(_req("ping"))
+    assert healthy_transport.calls == 1 and healthy.stats.snapshot()["cache_hits"] == 0
+
+
+@pytest.mark.parametrize(
+    "response",
+    [{"choices": []}, {"choices": [{"message": {"content": "  "}}]}, {"unexpected": True}],
+)
+def test_malformed_chat_entry_is_an_error_naming_its_key(tmp_path, response):
+    client, transport = make_chat(cache_dir=tmp_path / "cache")
+    key = _req().key()
+    client.cache.put(key, "/chat/completions", "", response)
+    with pytest.raises(ProviderError, match=f"malformed chat cache entry {key}"):
+        client.complete(_req())
+    assert transport.calls == 0
+    client.cache.close()
+
+
+def test_malformed_chat_entry_fails_its_seed_not_the_command(tmp_path, capsys):
+    config_path, out = make_run(tmp_path)
+    for command in ("pair", "generate"):
+        assert cli.main([command, "--config", str(config_path)]) == cli.EXIT_OK
+    cache = ResponseCache(out / "cache" / "responses")
+    key, entry = next(
+        (key, entry)
+        for key, entry in (
+            (line[:64], json.loads(line[65:])) for line in cache.path.read_text().splitlines()
+        )
+        if entry["salt"].startswith("gen:hybrid:")
+    )
+    cache.put(key, entry["endpoint"], entry["salt"], {"choices": []})
+    cache.close()
+    capsys.readouterr()
+    assert cli.main(["generate", "--config", str(config_path)]) == cli.EXIT_PARTIAL
+    assert capsys.readouterr().err == ""
+    seed_id = entry["salt"].split(":")[2]
+    skips = out / "artifacts" / "toy" / "generated" / "skips_hybrid.jsonl"
+    [row] = [json.loads(line) for line in skips.read_text().splitlines()]
+    assert (row["seed_id"], row["kind"]) == (seed_id, "failure")
+    assert row["reason"].startswith(f"provider: malformed chat cache entry {key}")
 
 
 # --- response cache log -----------------------------------------------------
@@ -441,10 +477,10 @@ def test_http_connection_closed_while_idle_is_replaced_without_a_retry(serve):
     server = serve()
     server.script.append((200, _CHAT_OK, True))
     client = ChatClient(_connect(server), ProviderConfig(max_retries=1))
-    assert client.complete(_req("first")).content == "ok"
+    assert client.complete(_req("first")) == "ok"
     assert server.closed.wait(5)
     time.sleep(0.05)  # let the server's close reach the client's socket
-    assert client.complete(_req("second")).content == "ok"
+    assert client.complete(_req("second")) == "ok"
     snap = client.stats.snapshot()
     assert (snap["transport_calls"], snap["retries"]) == (2, 0)
     assert server.connections == 2

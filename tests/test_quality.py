@@ -147,9 +147,10 @@ def test_verify_dataset_statuses_and_errors():
         script={
             "cannot be pinned down": failing_text,
             "nonsense here": "I refuse to follow the format.",
-        }
+        },
+        max_in_flight=1,
     )
-    outcome = verify_dataset(questions, client, "v-model", max_in_flight=1)
+    outcome = verify_dataset(questions, client, "v-model")
     by_id = {q.id: q.status for q in outcome.questions}
     assert by_id == {
         "hybrid:ok": "verified",

@@ -332,8 +332,8 @@ def test_solution_record_invariants():
 def test_solve_dataset_and_persistence(tmp_path):
     questions = [_question(), _question(id="hybrid:b", question="How many pallets total?")]
     parents = {"a": LOW, "b": HIGH}
-    client, _ = make_chat()
-    records = solve_dataset(questions, parents, client, "solver-model", max_in_flight=2)
+    client, _ = make_chat(max_in_flight=2)
+    records = solve_dataset(questions, parents, client, "solver-model")
     assert [r.question_id for r in records] == ["hybrid:a", "hybrid:b"]
     assert all(r.status == "accepted" for r in records)
 

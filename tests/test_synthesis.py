@@ -48,7 +48,7 @@ def _pair(d_low: float = 4.0, d_high: float = 7.0) -> QuestionPair:
 
 def toy_pairs(corpus: Corpus):
     embeddings = {
-        p.id: EmbeddingVector.from_values(mock_embedding(p.question)) for p in corpus.problems
+        p.id: EmbeddingVector(mock_embedding(p.question)) for p in corpus.problems
     }
     return build_pairs(corpus, embeddings, PairingConfig(tau=0.8))
 
@@ -182,7 +182,6 @@ def _question(**overrides) -> SynthesizedQuestion:
         nominal_difficulty=7.0,
         parent_low_id="a",
         parent_high_id="b",
-        raw_generation=GOOD_OUTPUT,
     )
     fields.update(overrides)
     return SynthesizedQuestion(**fields)
@@ -198,16 +197,14 @@ def test_question_validation():
     assert _question().with_status("verified").status == "verified"
 
 
-def test_question_record_round_trip_drops_raw_generation(tmp_path):
+def test_question_record_round_trip(tmp_path):
     q = _question()
     record = q.to_record()
-    assert "raw_generation" not in record
     path = tmp_path / "q.jsonl"
     save_questions([q], path)
     loaded = load_questions(path)
     assert len(loaded) == 1
-    assert loaded[0] == SynthesizedQuestion.from_record(record)
-    assert loaded[0].raw_generation == ""
+    assert loaded[0] == SynthesizedQuestion.from_record(record) == q
 
     path.write_text('{"id": "x"}\n', encoding="utf-8")
     with pytest.raises(SynthesisError, match="line 1"):
@@ -247,21 +244,19 @@ def test_parse_failure_gets_one_salted_retry():
     pairs = toy_pairs(corpus)
     good = "#New Problem#:\nA single tidy question about crates?"
     client, transport = make_chat(
-        script={"#Scenario Integration#": ["no header at all", good, good]}
+        script={"#Scenario Integration#": ["no header at all", good, good]}, max_in_flight=1
     )
-    result = synthesize_category(
-        corpus, pairs, "hybrid", client, "gen-model", max_in_flight=1
-    )
+    result = synthesize_category(corpus, pairs, "hybrid", client, "gen-model")
     assert len(result.questions) == 2 and result.failures == ()
     assert transport.calls == 3  # one seed needed a second attempt
 
 
 def test_persistent_parse_failure_is_recorded():
     corpus = topic_pair_corpus(n_topics=1)
-    client, transport = make_chat(script={"#Scenario Integration#": "never a header"})
-    result = synthesize_category(
-        corpus, toy_pairs(corpus), "hybrid", client, "gen-model", max_in_flight=1
+    client, transport = make_chat(
+        script={"#Scenario Integration#": "never a header"}, max_in_flight=1
     )
+    result = synthesize_category(corpus, toy_pairs(corpus), "hybrid", client, "gen-model")
     assert result.questions == ()
     assert len(result.failures) == 2
     assert transport.calls == 4  # two attempts per seed
@@ -271,11 +266,10 @@ def test_persistent_parse_failure_is_recorded():
 def test_provider_failure_is_recorded():
     corpus = topic_pair_corpus(n_topics=1)
     client, _ = make_chat(
-        script={"#Scenario Integration#": TransportError("down", retryable=False)}
+        script={"#Scenario Integration#": TransportError("down", retryable=False)},
+        max_in_flight=1,
     )
-    result = synthesize_category(
-        corpus, toy_pairs(corpus), "hybrid", client, "gen-model", max_in_flight=1
-    )
+    result = synthesize_category(corpus, toy_pairs(corpus), "hybrid", client, "gen-model")
     assert len(result.failures) == 2
     assert all(reason.startswith("provider:") for _, reason in result.failures)
 
