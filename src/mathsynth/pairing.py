@@ -247,10 +247,13 @@ def load_pairs(path: str | Path, corpus: Corpus) -> list[QuestionPair]:
     by_id = corpus.by_id()
     pairs = []
     for lineno, record in jsonl.read_records(path):
+        low_id, high_id, similarity = jsonl.fields(
+            path, lineno, record, low_id=str, high_id=str, similarity=float
+        )
         try:
-            low = by_id[record["low_id"]]
-            high = by_id[record["high_id"]]
+            pairs.append(QuestionPair(by_id[low_id], by_id[high_id], similarity))
         except KeyError as exc:
             raise PairingError(f"{path}: line {lineno}: unknown problem id {exc}") from None
-        pairs.append(QuestionPair(low=low, high=high, similarity=record["similarity"]))
+        except PairingError as exc:
+            raise PairingError(f"{path}: line {lineno}: {exc}") from None
     return pairs

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import islice
-from operator import eq
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Hashable, Sequence
+
+import numpy as np
 
 from . import jsonl
 from .corpus import SeedProblem
@@ -20,7 +20,8 @@ from .prompts import render_solution_prompt as _render_solution_prompt
 from .providers import ChatClient, ChatRequest, ProviderError, map_bounded
 from .synthesis import SynthesizedQuestion
 
-_TOKEN = re.compile(r"\w+|[^\w\s]")
+_PUNCT = re.compile(r"[^\w\s]")
+_RUN = re.compile(b"\x01+")
 _BOXED = "\\boxed{"
 
 
@@ -77,8 +78,14 @@ def extract_boxed(text: str) -> str | None:
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase word and punctuation tokens; the unit for n-gram statistics."""
-    return _TOKEN.findall(text.lower())
+    """Lowercase word and punctuation tokens; the unit for n-gram statistics.
+
+    A run of word characters is one token and any other non-space character
+    is a token of its own, exactly as `re.findall(r"\\w+|[^\\w\\s]", ...)`
+    would cut them: spacing out the punctuation lets `str.split` do the rest,
+    and it tests whitespace as `\\s` does.
+    """
+    return _PUNCT.sub(r" \g<0> ", text.lower()).split()
 
 
 @dataclass(frozen=True)
@@ -90,8 +97,54 @@ class NgramStats:
     max_consecutive: int
 
 
+def _intern(keys: Sequence[Hashable]) -> tuple[np.ndarray, int]:
+    """The position where each key first occurs, and the number of distinct keys."""
+    first: dict[Hashable, int] = {}
+    ids = np.fromiter(map(first.setdefault, keys, range(len(keys))), np.int64, len(keys))
+    return ids, len(first)
+
+
+def _ngram_stats(tokens: Sequence[str], ns: range) -> list[NgramStats]:
+    """Statistics for each n in ns, from one chain of integer-coded n-grams.
+
+    An n-gram's id is the position where it first occurs. The n-gram at i is
+    coded as id(its (n-1)-gram prefix at i) * len(tokens) + id(token i+n-1):
+    both ids are below len(tokens), so two n-grams share a code exactly when
+    they are equal, and codes stay exact in int64 below 3e9 tokens. Interning
+    the codes gives the prefix ids for n + 1; the last n needs only a count.
+    """
+    size = len(tokens)
+    ids, distinct = _intern(tokens)
+    grams = ids
+    stats = []
+    for n in range(1, min(ns.stop, size + 1)):
+        total = size - n + 1
+        if n > 1:
+            codes = grams[:total] * size + ids[n - 1 :]
+            keys = codes.tolist()
+            if n + 1 < ns.stop:
+                grams, distinct = _intern(keys)
+            else:  # the last n: its codes are only counted
+                grams, distinct = codes, len(set(keys))
+        if n in ns:
+            ratio = 1.0 - distinct / total
+            stats.append(NgramStats(n, total, distinct, ratio, _longest_run(grams, n)))
+    empty = dict(total=0, distinct=0, duplicate_ratio=0.0, max_consecutive=0)
+    return stats + [NgramStats(n=n, **empty) for n in ns if n > size]
+
+
+def _longest_run(grams: np.ndarray, n: int) -> int:
+    """The longest run of back-to-back equal n-grams at any phase offset."""
+    # The chunk starting at i repeats the one before it at its phase exactly
+    # when grams[i] == grams[i + n]; same[phase::n] lists those comparisons in
+    # order, so a run of k equal neighbours there is a run of k + 1 chunks.
+    same = (grams[:-n] == grams[n:]).tobytes()
+    runs = (len(run) for phase in range(n) for run in _RUN.findall(same[phase::n]))
+    return 1 + max(runs, default=0)
+
+
 def ngram_degeneracy(text: str | Sequence[str], n: int) -> NgramStats:
-    """Repetition statistics over n-grams of the tokenized text.
+    """Repetition statistics over n-grams of the text or of a token list.
 
     duplicate_ratio counts overlapping n-grams: 1 - distinct/total.
     max_consecutive is the longest run of back-to-back identical n-token
@@ -100,24 +153,10 @@ def ngram_degeneracy(text: str | Sequence[str], n: int) -> NgramStats:
     coincidence. Texts shorter than n tokens score 0 on both. Both statistics
     take time linear in the number of tokens.
     """
-    tokens = list(text) if not isinstance(text, str) else tokenize(text)
     if n < 1:
         raise SolverError("n must be positive")
-    grams = list(zip(*(islice(tokens, i, None) for i in range(n))))
-    total = len(grams)
-    if total < 1:
-        return NgramStats(n=n, total=0, distinct=0, duplicate_ratio=0.0, max_consecutive=0)
-    distinct = len(set(grams))
-    ratio = 1.0 - distinct / total
-
-    # The chunk starting at i repeats the one before it at its phase exactly
-    # when grams[i] == grams[i + n]; same[phase::n] lists those comparisons in
-    # order, so a run of k equal neighbours there is a run of k + 1 chunks.
-    same = bytes(map(eq, grams, islice(grams, n, None)))
-    longest = 1 + max(max(map(len, same[phase::n].split(b"\0"))) for phase in range(n))
-    return NgramStats(
-        n=n, total=total, distinct=distinct, duplicate_ratio=ratio, max_consecutive=longest
-    )
+    tokens = tokenize(text) if isinstance(text, str) else list(text)
+    return _ngram_stats(tokens, range(n, n + 1))[0]
 
 
 @dataclass(frozen=True)
@@ -152,19 +191,16 @@ def check_gates(solution_text: str, cfg: GateConfig | None = None) -> GateReport
     boxed = extract_boxed(solution_text)
     if cfg.require_boxed and boxed is None:
         failures.append("missing, empty, or unbalanced boxed answer")
-    tokens = tokenize(solution_text)
-    thresholds = {2: cfg.max_duplicate_2gram_ratio, 3: cfg.max_duplicate_3gram_ratio}
-    stats = []
-    for n, limit in thresholds.items():
-        st = ngram_degeneracy(tokens, n)
-        stats.append(st)
+    stats = _ngram_stats(tokenize(solution_text), range(2, 4))
+    limits = (cfg.max_duplicate_2gram_ratio, cfg.max_duplicate_3gram_ratio)
+    for st, limit in zip(stats, limits):
         if st.duplicate_ratio > limit:
             failures.append(
-                f"{n}-gram duplicate ratio {st.duplicate_ratio:.3f} exceeds {limit}"
+                f"{st.n}-gram duplicate ratio {st.duplicate_ratio:.3f} exceeds {limit}"
             )
         if st.max_consecutive > cfg.max_consecutive_repeat:
             failures.append(
-                f"{n}-gram consecutive repeat run {st.max_consecutive} exceeds "
+                f"{st.n}-gram consecutive repeat run {st.max_consecutive} exceeds "
                 f"{cfg.max_consecutive_repeat}"
             )
     return GateReport(

@@ -273,7 +273,7 @@ def load_questions(path: str | Path) -> list[SynthesizedQuestion]:
     for lineno, record in jsonl.read_records(path):
         try:
             out.append(SynthesizedQuestion.from_record(record))
-        except (KeyError, SynthesisError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:  # ValueError covers SynthesisError
             raise SynthesisError(f"{path}: line {lineno}: {exc}") from None
     return out
 

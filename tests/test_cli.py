@@ -305,6 +305,64 @@ def test_malformed_artifact_row_names_its_file_and_line(tmp_path, capsys, artifa
     assert capsys.readouterr().err == f"error: {path}: line 1: {fragment}\n"
 
 
+@pytest.mark.parametrize(
+    "done,artifact,lineno,edit,step,fragment",
+    [
+        (
+            ["pair"],
+            "pairs.jsonl",
+            1,
+            lambda row: row.pop("similarity"),
+            "generate",
+            "missing field 'similarity'",
+        ),
+        (
+            ["pair"],
+            "pairs.jsonl",
+            1,
+            lambda row: row.update(similarity="high"),
+            "generate",
+            "similarity must be a number, got 'high'",
+        ),
+        (
+            ["pair"],
+            "pairs.jsonl",
+            1,
+            lambda row: row.update(low_id=row["high_id"], high_id=row["low_id"]),
+            "generate",
+            "pair must be ordered by difficulty: 6.0 vs 3.0",
+        ),
+        (
+            ["pair", "generate"],
+            "generated/hybrid.jsonl",
+            2,
+            lambda row: row.update(nominal_difficulty="hard"),
+            "verify",
+            "could not convert string to float: 'hard'",
+        ),
+    ],
+    ids=[
+        "pair-without-similarity",
+        "pair-with-text-similarity",
+        "pair-in-descending-order",
+        "question-with-text-difficulty",
+    ],
+)
+def test_malformed_stage_input_names_its_file_and_line(
+    tmp_path, capsys, done, artifact, lineno, edit, step, fragment
+):
+    config_path, out = make_run(tmp_path, n_topics=3)
+    for name in done:
+        assert cli.main([name, "--config", str(config_path)]) == cli.EXIT_OK
+    path = out / "artifacts" / "toy" / artifact
+    rows = read_jsonl(path)
+    edit(rows[lineno - 1])
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main([step, "--config", str(config_path)]) == cli.EXIT_FATAL
+    assert capsys.readouterr().err == f"error: {path}: line {lineno}: {fragment}\n"
+
+
 @pytest.mark.filterwarnings("ignore:emitting empty stage")
 def test_stats_counts_a_disabled_template_as_zero(tmp_path, capsys):
     overrides = {"synthesis": {"templates": ["hybrid"]}, "curriculum": {"allow_empty": True}}

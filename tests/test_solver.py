@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -81,6 +82,34 @@ def test_tokenize():
     assert tokenize("") == []
 
 
+# The tokenizer as a regex: a run of word characters, or one character that
+# is neither a word character nor whitespace.
+WORD_OR_PUNCT = re.compile(r"\w+|[^\w\s]")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "\x1c",  # a separator that both `str.split` and `\s` take as whitespace
+        " ",
+        "\xa0",
+        "a\x1cb\x1fc\u3000d\u2028e",
+        "İ",  # lowercases to two code points, "i" and a combining dot
+        "Co\u0301te",  # a combining mark is neither a word character nor a space
+        "_",
+        "snake_case + x_1",
+    ],
+)
+def test_tokenize_cuts_as_the_word_or_punctuation_regex(text):
+    assert tokenize(text) == WORD_OR_PUNCT.findall(text.lower())
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text())
+def test_tokenize_cuts_any_text_as_the_word_or_punctuation_regex(text):
+    assert tokenize(text) == WORD_OR_PUNCT.findall(text.lower())
+
+
 # --- degeneracy statistics ----------------------------------------------------
 
 
@@ -153,6 +182,51 @@ def test_ngram_stats_match_reference_on_loops_and_short_texts(n, lead):
     assert stats.max_consecutive == 15
     short = phrase[: n - 1]
     assert ngram_degeneracy(short, n) == oracle_ngram_stats(short, n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize(
+    "tokens",
+    [
+        [],
+        ["a"],
+        ["a", "b", "a", "c"],  # the last token is new: its id is the largest there is
+        ["c", "a", "b", "a", "b", "a", "d"],
+        list("abcabcabcabd"),
+        list("aaaaaaaaaaaaab"),
+        list("abababababababababc"),
+        list("xyzxyzwxyzxyzw") * 3 + ["v"],
+    ],
+)
+def test_ngram_stats_match_reference_for_chained_n(tokens, n):
+    assert ngram_degeneracy(tokens, n) == oracle_ngram_stats(tokens, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=120),
+    st.integers(1, 6),
+)
+def test_ngram_stats_match_reference_for_any_n_up_to_six(tokens, n):
+    assert ngram_degeneracy(tokens, n) == oracle_ngram_stats(tokens, n)
+
+
+TEXTS = st.lists(
+    st.tuples(
+        st.sampled_from(["x", "y", "sum", "x1", "=", "+", "İ", "\\boxed{2}", "", "\u0301"]),
+        st.sampled_from([" ", "", "\n", "\xa0", ", "]),
+    ),
+    max_size=150,
+).map(lambda parts: "".join(word + sep for word, sep in parts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(TEXTS)
+def test_gate_stats_match_reference_on_random_texts(text):
+    # check_gates derives the 3-gram codes from the 2-gram ones in one pass.
+    tokens = WORD_OR_PUNCT.findall(text.lower())
+    stats = check_gates(text).stats
+    assert stats == (oracle_ngram_stats(tokens, 2), oracle_ngram_stats(tokens, 3))
 
 
 def test_ngram_stats_edge_cases():

@@ -1,7 +1,9 @@
 """Generation prompts, output parsing, difficulty labeling, and batch synthesis."""
 from __future__ import annotations
 
+import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -208,6 +210,16 @@ def test_question_record_round_trip(tmp_path):
 
     path.write_text('{"id": "x"}\n', encoding="utf-8")
     with pytest.raises(SynthesisError, match="line 1"):
+        load_questions(path)
+
+
+@pytest.mark.parametrize("difficulty", ["hard", None, [7.0]])
+def test_load_questions_names_the_line_of_a_non_numeric_difficulty(tmp_path, difficulty):
+    path = tmp_path / "q.jsonl"
+    records = [_question().to_record(), _question(id="hybrid:y").to_record()]
+    records[1]["nominal_difficulty"] = difficulty
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    with pytest.raises(SynthesisError, match=rf"^{re.escape(str(path))}: line 2: "):
         load_questions(path)
 
 
