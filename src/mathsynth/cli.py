@@ -39,7 +39,6 @@ from .providers import (
     MockTransport,
     ProviderError,
     ResponseCache,
-    WorkerPool,
 )
 from .quality import (
     apply_review,
@@ -117,11 +116,11 @@ def _load_corpora(cfg: RunConfig) -> dict[str, Corpus]:
 
 
 class Pipeline:
-    """Shared runtime state for one invocation: config, seed corpora, clients, worker pool.
+    """Shared runtime state for one invocation: config, seed corpora, clients.
 
-    Each seed corpus is parsed once, when the pipeline opens. Stages run
-    inside `pool.use()` share the pool's threads, and with them the
-    transport's per-thread connections.
+    Each seed corpus is parsed once, when the pipeline opens. Every stage
+    goes through the one transport, so its kept-alive connections last the
+    run; each stage's `map_bounded` call starts and stops its own threads.
     """
 
     def __init__(self, cfg: RunConfig, out_dir: Path, resume: bool = False):
@@ -135,7 +134,6 @@ class Pipeline:
             self.transport = HttpTransport(cfg.providers)
         self.cache = ResponseCache(self.out / "cache" / "responses")
         self.chat = ChatClient(self.transport, cfg.providers, self.cache)
-        self.pool = WorkerPool()
 
     def write_config_copy(self) -> None:
         # out_dir is omitted: it is wherever this copy sits, and pinning it
@@ -150,7 +148,6 @@ class Pipeline:
             jsonl.write_json(target, record)
 
     def close(self) -> None:
-        self.pool.close()
         self.cache.close()
         if isinstance(self.transport, HttpTransport):
             self.transport.close()
@@ -560,8 +557,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FATAL
     try:
         pipe.write_config_copy()
-        with pipe.pool.use():
-            result = _run_step(pipe, args.command)
+        result = _run_step(pipe, args.command)
     except _EXPECTED_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FATAL

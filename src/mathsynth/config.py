@@ -100,6 +100,8 @@ def load_run_config(path: str | Path) -> RunConfig:
         loaded = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, not UTF-8
+        raise ConfigError(f"{path}: cannot read: {exc}") from None
     try:
         return _parse(RunConfig, loaded, "")
     except ConfigError as exc:

@@ -32,11 +32,15 @@ def read_records(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
             yield lineno, record
 
 
+_KIND_NAMES = {str: "a string", int: "an integer", float: "a number"}
+
+
 def fields(path: str | Path, lineno: int, record: dict[str, Any], **kinds: type) -> list[Any]:
     """`record`'s values under the keys of `kinds`, in order, each checked against its kind.
 
-    A kind is `str` or `float` (any JSON number but a bool). A missing key or
-    a value of another kind is a ValueError naming the file and line.
+    A kind is `str`, `int` or `float` (any JSON number); neither number kind
+    takes a bool. A missing key or a value of another kind is a ValueError
+    naming the file and line.
     """
     values = []
     for key, kind in kinds.items():
@@ -45,7 +49,7 @@ def fields(path: str | Path, lineno: int, record: dict[str, Any], **kinds: type)
         value = record[key]
         accepted = (int, float) if kind is float else kind
         if isinstance(value, bool) or not isinstance(value, accepted):
-            expected = "a number" if kind is float else "a string"
+            expected = _KIND_NAMES[kind]
             raise ValueError(f"{path}: line {lineno}: {key} must be {expected}, got {value!r}")
         values.append(value)
     return values

@@ -18,12 +18,10 @@ import os
 import select
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
-from contextvars import ContextVar
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Sequence, TypeVar
 from urllib.parse import SplitResult, unquote, urlsplit
 
 import numpy as np
@@ -240,11 +238,14 @@ class ResponseCache:
 class HttpTransport:
     """OpenAI-compatible HTTP transport on the standard library's `http.client`.
 
-    The cache salt is not sent on the wire. Each thread keeps one kept-alive
-    connection to the host of `base_url`, whose path prefix (say `/v1`) starts
-    every request path. A connection the server closed while it sat idle is
-    reopened before it is used, without failing an attempt; a connection
-    error or timeout closes it, and the next attempt reconnects.
+    The cache salt is not sent on the wire. Kept-alive connections to the
+    host of `base_url`, whose path prefix (say `/v1`) starts every request
+    path, wait in one idle list: a request takes one, or opens one if none
+    is idle, and puts it back when done, so there are never more
+    connections than requests in flight. A connection the server closed
+    while it sat idle is reopened before it is used, without failing an
+    attempt; a failed request closes its connection, and the next request
+    on it reconnects.
 
     `http_proxy`, `https_proxy` and `no_proxy` are read once, here: an HTTP
     request goes to the proxy in absolute form, an HTTPS one through a
@@ -275,9 +276,8 @@ class HttpTransport:
             self._prefix = f"http://{netloc}{self._prefix}"
             self._headers.update(self._proxy_headers)
         self._ssl_context: Any = None
-        self._local = threading.local()
         self._lock = threading.Lock()
-        self._connections: list[Any] = []
+        self._idle: list[Any] = []
 
     def _open(self) -> Any:
         import http.client
@@ -303,16 +303,15 @@ class HttpTransport:
         return conn
 
     def _connection(self) -> Any:
-        """This thread's connection, reopened first if the server has closed it."""
-        conn = getattr(self._local, "conn", None)
+        """An idle connection, reopened first if the server has closed it, or a new one."""
+        with self._lock:
+            conn = self._idle.pop() if self._idle else None
         if conn is None:
-            conn = self._local.conn = self._open()
-            with self._lock:
-                self._connections.append(conn)
-        elif conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
+            return self._open()
+        if conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
             # An idle kept-alive socket that reads as ready holds the server's
             # close (or stray bytes): either way it cannot carry a request.
-            conn.close()  # the next request connects again
+            conn.close()  # the request connects again
         return conn
 
     def request(self, path: str, payload: dict[str, Any], salt: str = "") -> dict[str, Any]:
@@ -325,9 +324,14 @@ class HttpTransport:
             conn.request("POST", self._prefix + path, body, self._headers)
             resp = conn.getresponse()
             status, data = resp.status, resp.read()
-        except (OSError, http.client.HTTPException) as exc:
-            conn.close()
+        except BaseException as exc:
+            conn.close()  # its next request connects again
+            if not isinstance(exc, (OSError, http.client.HTTPException)):
+                raise
             raise TransportError(f"request to {url} failed: {exc!r}", retryable=True) from exc
+        finally:
+            with self._lock:
+                self._idle.append(conn)
         if status != 200:
             raise TransportError(
                 f"{url} returned {status}: {data[:200].decode('utf-8', 'replace')}",
@@ -340,10 +344,10 @@ class HttpTransport:
             raise TransportError(f"{url} returned non-JSON body", retryable=True) from exc
 
     def close(self) -> None:
-        """Close every thread's connection; a later request reconnects."""
+        """Close every idle connection; a later request reconnects."""
         with self._lock:
-            connections = list(self._connections)
-        for conn in connections:
+            idle, self._idle = self._idle, []
+        for conn in idle:
             conn.close()
 
 
@@ -714,56 +718,11 @@ class ProviderStats:
             return dict(self._counts)
 
 
-_ACTIVE_POOL: ContextVar[WorkerPool | None] = ContextVar("active_worker_pool", default=None)
 _in_worker = threading.local()
 
 
 def _mark_worker() -> None:
     _in_worker.flag = True
-
-
-class WorkerPool:
-    """Worker threads shared by every `map_bounded` call made inside `use()`.
-
-    A pipeline keeps one for all its stages, so a worker thread, and the HTTP
-    connection it keeps, lasts the whole run instead of one call. Threads
-    start on first use, one executor per distinct `max_in_flight`, and stop
-    in `close()`.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._executors: dict[int, ThreadPoolExecutor] = {}
-
-    @contextmanager
-    def use(self) -> Iterator[WorkerPool]:
-        """Run the `map_bounded` calls this thread makes inside the block on this pool."""
-        token = _ACTIVE_POOL.set(self)
-        try:
-            yield self
-        finally:
-            _ACTIVE_POOL.reset(token)
-
-    def map(self, fn: Callable[[T], R], items: list[T], max_in_flight: int) -> list[R]:
-        with self._lock:
-            executor = self._executors.get(max_in_flight)
-            if executor is None:
-                executor = self._executors[max_in_flight] = ThreadPoolExecutor(
-                    max_workers=max_in_flight, initializer=_mark_worker
-                )
-        futures = [executor.submit(fn, item) for item in items]
-        try:
-            return [future.result() for future in futures]
-        finally:
-            for future in futures:
-                future.cancel()
-            wait(futures)
-
-    def close(self) -> None:
-        with self._lock:
-            executors, self._executors = list(self._executors.values()), {}
-        for executor in executors:
-            executor.shutdown()
 
 
 def map_bounded(
@@ -772,24 +731,18 @@ def map_bounded(
     """Apply fn to every item with at most max_in_flight concurrent calls.
 
     Results come back in input order; the first exception propagates after
-    in-flight work drains and the queued items are dropped. Inside
-    `WorkerPool.use()` the calls run on that pool's threads, otherwise on
-    threads started for this call. Calling it from a pool worker raises
-    RuntimeError: nested calls would wait on the threads their caller holds,
-    or run on threads of their own beyond the max_in_flight bound.
+    in-flight work drains and the queued items are dropped. The calls run on
+    threads started for this call and stopped before it returns; what lasts
+    between calls is the transport's idle connections. Calling it from one
+    of those threads raises RuntimeError: a nested call would run threads of
+    its own beyond the max_in_flight bound.
     """
     if getattr(_in_worker, "flag", False):
         raise RuntimeError("map_bounded called from a pool worker thread")
-    items = list(items)
-    if not items:
-        return []
     if max_in_flight == 1:
         return [fn(item) for item in items]
-    pool = _ACTIVE_POOL.get()
-    if pool is not None:
-        return pool.map(fn, items, max_in_flight)
-    pool = WorkerPool()
+    executor = ThreadPoolExecutor(max_in_flight, initializer=_mark_worker)
     try:
-        return pool.map(fn, items, max_in_flight)
+        return list(executor.map(fn, items))
     finally:
-        pool.close()
+        executor.shutdown(cancel_futures=True)

@@ -251,19 +251,23 @@ def export_review_batch(
 
 
 def import_review_batch(path: str | Path) -> ReviewBatch:
-    """Read an annotated batch; verdicts must be "accept", "reject", or "" (unreviewed)."""
+    """Read an annotated batch; verdicts must be "accept", "reject", or "" (unreviewed).
+
+    A missing or mistyped header value, question_id or verdict is a
+    QualityError naming the file and line.
+    """
     records = list(jsonl.read_records(path))
     if not records or records[0][1].get("kind") != REVIEW_HEADER_KIND:
         raise QualityError(f"{path}: first line must be the review batch header")
-    header = records[0][1]
+    header_line, header = records[0]
+    header = {"algorithm": REVIEW_SAMPLE_ALGORITHM, **header}
+    sample_rate, seed, population, algorithm = _review_fields(
+        path, header_line, header, sample_rate=float, seed=int, population=int, algorithm=str
+    )
     items: list[str] = []
     verdicts: dict[str, tuple[str, str]] = {}
     for lineno, record in records[1:]:
-        try:
-            qid = record["question_id"]
-            verdict = record["verdict"]
-        except KeyError as exc:
-            raise QualityError(f"{path}: line {lineno}: missing {exc}") from None
+        qid, verdict = _review_fields(path, lineno, record, question_id=str, verdict=str)
         items.append(qid)
         if verdict == "":
             continue
@@ -274,13 +278,23 @@ def import_review_batch(path: str | Path) -> ReviewBatch:
             )
         verdicts[qid] = (verdict, record.get("note", ""))
     return ReviewBatch(
-        sample_rate=float(header["sample_rate"]),
-        seed=int(header["seed"]),
+        sample_rate=float(sample_rate),
+        seed=seed,
         items=tuple(items),
-        population=int(header["population"]),
-        algorithm=header.get("algorithm", REVIEW_SAMPLE_ALGORITHM),
+        population=population,
+        algorithm=algorithm,
         verdicts=verdicts,
     )
+
+
+def _review_fields(
+    path: str | Path, lineno: int, record: dict[str, Any], **kinds: type
+) -> list[Any]:
+    """`jsonl.fields`, raising its error as a QualityError."""
+    try:
+        return jsonl.fields(path, lineno, record, **kinds)
+    except ValueError as exc:
+        raise QualityError(str(exc)) from None
 
 
 def apply_review(

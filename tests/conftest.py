@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import threading
 from pathlib import Path
 from typing import Any
 
@@ -75,6 +76,23 @@ def make_chat(
 @pytest.fixture
 def toy_corpus() -> Corpus:
     return topic_pair_corpus()
+
+
+def _executor_threads() -> set[threading.Thread]:
+    return {t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")}
+
+
+@pytest.fixture(autouse=True)
+def no_executor_threads_left_running():
+    """Fails a test that leaves a ThreadPoolExecutor worker alive that it did not find.
+
+    Every stage fans out through `map_bounded`, so this checks that each call
+    stops its threads before it returns, whether it succeeds or fails.
+    """
+    before = _executor_threads()
+    yield
+    left = sorted(t.name for t in _executor_threads() - before)
+    assert not left, f"executor threads left running: {left}"
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -123,6 +123,22 @@ def test_invalid_values_are_usage_errors(tmp_path, capsys, overrides, fragment):
     assert not (out / "reports").exists()
 
 
+@pytest.mark.parametrize(
+    "make_config,fragment",
+    [
+        (lambda path: path.mkdir(), "Is a directory"),
+        (lambda path: path.write_bytes(b'{"seed": "\xff"}'), "'utf-8' codec can't decode"),
+    ],
+    ids=["directory", "not-utf-8"],
+)
+def test_unreadable_config_is_a_usage_error(tmp_path, capsys, make_config, fragment):
+    config_path = tmp_path / "config.json"
+    make_config(config_path)
+    assert cli.main(["run-all", "--config", str(config_path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {config_path}: cannot read: ") and fragment in err
+
+
 def test_duplicate_tags_are_usage_errors(tmp_path, capsys):
     corpus = topic_pair_corpus(n_topics=2)
     seeds = write_corpus_file(tmp_path / "seeds.jsonl", corpus)
@@ -476,6 +492,20 @@ def test_review_export_import_round_trip(tmp_path):
     assert victim not in staged_ids
 
 
+def test_review_import_of_a_header_without_sample_rate_exits_1_naming_the_line(tmp_path, capsys):
+    config_path, out = make_run(tmp_path, n_topics=2)
+    assert cli.main(["run-all", "--config", str(config_path)]) == cli.EXIT_OK
+    assert cli.main(["review-export", "--config", str(config_path)]) == cli.EXIT_OK
+    batch_path = out / "artifacts" / "toy" / "review" / "batch.jsonl"
+    rows = read_jsonl(batch_path)
+    del rows[0]["sample_rate"]
+    batch_path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["review-import", "--config", str(config_path)]) == cli.EXIT_FATAL
+    err = capsys.readouterr().err
+    assert err == f"error: {batch_path}: line 1: missing field 'sample_rate'\n"
+
+
 # --- scoring and blending ------------------------------------------------------------
 
 
@@ -575,8 +605,8 @@ def test_run_all_over_http_needs_only_the_standard_library(tmp_path):
         serving.join(timeout=10)
     for proc in (first, second):
         assert proc.returncode == cli.EXIT_OK and "ResourceWarning" not in proc.stderr, proc.stderr
-    # one connection per pool worker plus the main thread's embedding call
-    assert cold[0] > 0 and cold[1] <= 2 + 1
+    # never more connections than requests in flight (max_in_flight)
+    assert cold[0] > 0 and cold[1] <= 2
     assert warm == cold  # the warm cache answers every call
 
     curriculum = out / "artifacts" / "toy" / "curriculum"

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import base64
-import contextlib
 import json
 import os
 import socket
@@ -10,6 +9,7 @@ import ssl
 import sys
 import threading
 import time
+import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -30,7 +30,6 @@ from mathsynth.providers import (
     ProviderError,
     ResponseCache,
     TransportError,
-    WorkerPool,
     cache_key,
     map_bounded,
     mock_embedding,
@@ -361,6 +360,10 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         super().setup()
         self.server.connections += 1
 
+    def finish(self) -> None:
+        super().finish()
+        self.server.finished += 1
+
     def handle(self) -> None:
         try:
             super().handle()
@@ -400,7 +403,7 @@ def serve(monkeypatch):
 
     def start() -> ThreadingHTTPServer:
         server = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
-        server.connections, server.seen, server.script = 0, [], []
+        server.connections, server.finished, server.seen, server.script = 0, 0, [], []
         server.closed, server.transports = threading.Event(), []
         server.default = lambda body: (200, _CHAT_OK, False)
         thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
@@ -513,7 +516,7 @@ def test_http_proxy_routes_requests_unless_no_proxy_names_the_host(serve, monkey
     assert len(proxy.seen) == 1 and [path for path, _, _ in server.seen] == ["/v1/embeddings"]
 
 
-def test_http_threads_each_keep_one_connection_under_contention(serve):
+def test_http_concurrent_requests_never_share_a_connection(serve):
     server = serve()
     server.default = lambda body: (200, json.dumps({"echo": json.loads(body)}).encode(), False)
     transport = _connect(server)
@@ -537,7 +540,31 @@ def test_http_threads_each_keep_one_connection_under_contention(serve):
     assert not any(worker.is_alive() for worker in workers)
     for w in range(8):
         assert replies[w] == [{"echo": {"w": w, "n": n}} for n in range(10)]
-    assert server.connections == 8
+    assert server.connections <= 8
+
+
+def test_http_connections_outlast_map_bounded_calls_and_close_with_the_transport(serve):
+    server = serve()
+    server.default = lambda body: (200, json.dumps({"echo": json.loads(body)}).encode(), False)
+    transport = _connect(server)
+
+    def call(n: int) -> dict:
+        return transport.request("/embeddings", {"n": n})
+
+    first = map_bounded(call, range(10), 2)
+    second = map_bounded(call, range(10, 20), 2)
+    last = call(20)  # the main thread takes an idle connection too
+    assert first + second + [last] == [{"echo": {"n": n}} for n in range(21)]
+    assert server.connections <= 2
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        transport.close()  # a connection dropped unclosed warns as it is freed
+    assert not caught
+    deadline = time.monotonic() + 10
+    while server.finished < server.connections and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert server.finished == server.connections  # each one's end reached the server
 
 
 def test_https_builds_one_tls_context_from_the_first_ca_bundle_variable(monkeypatch):
@@ -751,33 +778,12 @@ def test_map_bounded_propagates_errors():
         map_bounded(explode, range(6), max_in_flight=2)
 
 
-def test_map_bounded_calls_inside_use_share_the_pools_threads():
-    def current(_: int) -> threading.Thread:
-        return threading.current_thread()
-
-    pool = WorkerPool()
-    try:
-        with pool.use():
-            shared = map_bounded(current, range(20), 2) + map_bounded(current, range(20), 2)
-    finally:
-        pool.close()
-    assert len(set(shared)) <= 2
-    # outside use(), each call starts and stops threads of its own
-    assert not set(map_bounded(current, range(20), 2)) & set(shared)
-
-
-@pytest.mark.parametrize("use_pool", [True, False])
-def test_map_bounded_from_a_pool_worker_is_an_error(use_pool):
+def test_map_bounded_from_a_pool_worker_is_an_error():
     def nested(x: int) -> list[int]:
         return map_bounded(abs, [x, -x], 2)
 
-    pool = WorkerPool()
-    try:
-        with pool.use() if use_pool else contextlib.nullcontext():
-            with pytest.raises(RuntimeError, match="pool worker"):
-                map_bounded(nested, range(4), 2)
-    finally:
-        pool.close()
+    with pytest.raises(RuntimeError, match="pool worker"):
+        map_bounded(nested, range(4), 2)
 
 
 def test_provider_stats_counts():

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import itertools
+import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -253,6 +255,30 @@ def test_import_rejects_bad_verdict_strings(tmp_path):
     content = path.read_text(encoding="utf-8").replace('"verdict": ""', '"verdict": "maybe"', 1)
     path.write_text(content, encoding="utf-8")
     with pytest.raises(QualityError, match="line 2"):
+        import_review_batch(path)
+
+
+_DELETED = object()
+
+
+@pytest.mark.parametrize(
+    "row,key,value,message",
+    [
+        (0, "sample_rate", _DELETED, "line 1: missing field 'sample_rate'"),
+        (0, "seed", None, "line 1: seed must be an integer, got None"),
+        (1, "question_id", ["q0"], "line 2: question_id must be a string, got ['q0']"),
+    ],
+    ids=["missing-sample-rate", "null-seed", "list-question-id"],
+)
+def test_import_names_the_line_of_a_missing_or_mistyped_value(tmp_path, row, key, value, message):
+    _, path = _export(tmp_path, {"hybrid:q0": "text", "hybrid:q1": "text one"}, rate=1.0)
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    if value is _DELETED:
+        del rows[row][key]
+    else:
+        rows[row][key] = value
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    with pytest.raises(QualityError, match=re.escape(f"{path}: {message}")):
         import_review_batch(path)
 
 
