@@ -118,9 +118,11 @@ def _load_corpora(cfg: RunConfig) -> dict[str, Corpus]:
 class Pipeline:
     """Shared runtime state for one invocation: config, seed corpora, clients.
 
-    Each seed corpus is parsed once, when the pipeline opens. Every stage
-    goes through the one transport, so its kept-alive connections last the
-    run; each stage's `map_bounded` call starts and stops its own threads.
+    Each seed corpus is parsed once, when the pipeline opens. The chat and
+    embedding clients carry `cfg.providers`, so each stage reads its role's
+    model from its client (`client.cfg.models`). Every stage goes through the
+    one transport, so its kept-alive connections last the run; each stage's
+    `map_bounded` call starts and stops its own threads.
     """
 
     def __init__(self, cfg: RunConfig, out_dir: Path, resume: bool = False):
@@ -134,6 +136,7 @@ class Pipeline:
             self.transport = HttpTransport(cfg.providers)
         self.cache = ResponseCache(self.out / "cache" / "responses")
         self.chat = ChatClient(self.transport, cfg.providers, self.cache)
+        self.embedder = EmbeddingClient(self.transport, cfg.providers, self.cache)
 
     def write_config_copy(self) -> None:
         # out_dir is omitted: it is wherever this copy sits, and pinning it
@@ -196,10 +199,7 @@ def _verified_questions(pipe: Pipeline, paths: TagPaths) -> list[SynthesizedQues
 
 def cmd_pair(pipe: Pipeline) -> dict[str, Any]:
     def run(paths: TagPaths, corpus: Corpus) -> tuple[int, Any]:
-        embedder = EmbeddingClient(
-            pipe.transport, pipe.cfg.providers.models.embedder, pipe.cfg.providers, pipe.cache
-        )
-        embeddings = embed_corpus(corpus, embedder)
+        embeddings = embed_corpus(corpus, pipe.embedder)
         pairs = build_pairs(corpus, embeddings, pipe.cfg.pairing)
         save_pairs(pairs, paths.pairs)
         return 0, {
@@ -220,14 +220,7 @@ def cmd_generate(pipe: Pipeline) -> dict[str, Any]:
         failures = 0
         detail: dict[str, Any] = {}
         for template in templates:
-            result = synthesize_category(
-                corpus,
-                pairs,
-                template,
-                pipe.chat,
-                pipe.cfg.providers.models.generator,
-                pipe.cfg.synthesis,
-            )
+            result = synthesize_category(corpus, pairs, template, pipe.chat, pipe.cfg.synthesis)
             save_questions(result.questions, paths.generated_file(template))
             save_skip_report(result.skipped, result.failures, paths.skips_file(template))
             failures += len(result.failures)
@@ -262,9 +255,7 @@ def cmd_verify(pipe: Pipeline) -> dict[str, Any]:
         for template in templates:
             source = paths.generated_file(template)
             _require(source, "generate")
-            outcome = verify_dataset(
-                load_questions(source), pipe.chat, pipe.cfg.providers.models.verifier
-            )
+            outcome = verify_dataset(load_questions(source), pipe.chat)
             save_questions(outcome.questions, paths.verified_file(template))
             verdicts.extend(outcome.verdicts)
             errors.extend(outcome.errors)
@@ -329,9 +320,7 @@ def cmd_solve(pipe: Pipeline) -> dict[str, Any]:
             (q for q in _verified_questions(pipe, paths) if q.status == "verified"),
             key=lambda q: q.id,
         )
-        records = solve_dataset(
-            questions, corpus.by_id(), pipe.chat, pipe.cfg.providers.models.solver, pipe.cfg.solver
-        )
+        records = solve_dataset(questions, corpus.by_id(), pipe.chat, pipe.cfg.solver)
         save_solutions(records, paths.solutions)
         save_gate_reports(records, paths.gate_reports)
         failed = sum(1 for r in records if r.status == "failed")
@@ -381,11 +370,9 @@ def _graded_items(pipe: Pipeline, paths: TagPaths, use_scores: bool) -> list[Gra
 
 
 def cmd_score(pipe: Pipeline) -> dict[str, Any]:
-    providers = pipe.cfg.providers
-
     def run(paths: TagPaths, corpus: Corpus) -> tuple[int, Any]:
         items = _graded_items(pipe, paths, use_scores=False)
-        scores, missing = score_difficulty(items, pipe.chat, providers.models.scorer)
+        scores, missing = score_difficulty(items, pipe.chat)
         save_scores(scores, paths.scores)
         jsonl.write_records(
             paths.scores_missing,
@@ -417,13 +404,7 @@ def cmd_curriculum(pipe: Pipeline) -> dict[str, Any]:
 
     result = _each_tag(pipe, run)
     if ccfg.blend:
-        score_map = {
-            item.question_id: item.difficulty_score
-            for items in tag_items
-            for item in items
-            if item.difficulty_score is not None
-        }
-        plan = build_blended_curriculum(tag_items, score_map, grouping=ccfg.grouping)
+        plan = build_blended_curriculum(tag_items, grouping=ccfg.grouping)
         blended_dir = pipe.out / "artifacts" / "blended" / "curriculum"
         result["details"]["blended"] = export(plan, blended_dir, blended=True)
     return result

@@ -2,17 +2,18 @@
 
 Two plan shapes exist. The pure plan keeps one dataset's three categories in
 their fixed difficulty order. The blended plan merges several graded datasets,
-ranks whole categories by mean scored difficulty, and groups consecutive
-categories into stages (two per stage by default), so a fine-tune can walk a
-merged corpus from easy to hard.
+ranks whole categories by the mean of their items' difficulty scores, and
+groups consecutive categories into stages (two per stage by default), so a
+fine-tune can walk a merged corpus from easy to hard. Scores come from the
+client's scorer model (`client.cfg.models.scorer`).
 """
 from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import jsonl
 from .prompts import render_scoring_prompt
@@ -163,9 +164,11 @@ def _clamp_score(value: float, question_id: str) -> float:
 
 
 def score_difficulty(
-    items: Sequence[GradedItem], client: ChatClient, model: str
+    items: Sequence[GradedItem], client: ChatClient
 ) -> tuple[list[DifficultyScore], list[tuple[str, str]]]:
-    """One difficulty score per item; unparseable responses get one retry, then go missing."""
+    """One difficulty score per item from the client's scorer model, which each
+    score names; unparseable responses get one retry, then go missing."""
+    model = client.cfg.models.scorer
 
     def run_one(item: GradedItem) -> DifficultyScore | tuple[str, str]:
         prompt = render_scoring_prompt(item.question)
@@ -199,14 +202,13 @@ def score_difficulty(
 
 
 def build_blended_curriculum(
-    datasets: Sequence[Sequence[GradedItem]],
-    scores: Mapping[str, float],
-    grouping: int = 2,
+    datasets: Sequence[Sequence[GradedItem]], grouping: int = 2
 ) -> CurriculumPlan:
     """Merge datasets, rank categories by mean score, group consecutive categories.
 
-    Category means come from the scored items; unscored items inherit their
-    category mean so flaky scoring never drops data. Ties between category
+    Category means come from the items' difficulty scores; an item whose score
+    is None inherits its category mean so flaky scoring never drops data, and
+    a category with no scored item is an error. Ties between category
     means break by (dataset, category) name. Stage means are non-decreasing
     by construction because categories are grouped in rank order.
     """
@@ -221,7 +223,7 @@ def build_blended_curriculum(
 
     ranked: list[tuple[float, str, str, str]] = []
     for label, members in groups.items():
-        member_scores = [scores[i.question_id] for i in members if i.question_id in scores]
+        member_scores = [i.difficulty_score for i in members if i.difficulty_score is not None]
         if not member_scores:
             raise CurriculumError(f"category {label!r} has no scored items")
         mean = sum(member_scores) / len(member_scores)
@@ -235,16 +237,9 @@ def build_blended_curriculum(
         items: list[GradedItem] = []
         for mean, _, _, label in chunk:
             for item in sorted(groups[label], key=lambda i: i.question_id):
-                effective = scores.get(item.question_id, mean)
-                items.append(
-                    GradedItem(
-                        question_id=item.question_id,
-                        question=item.question,
-                        solution=item.solution,
-                        category_label=item.category_label,
-                        difficulty_score=effective,
-                    )
-                )
+                if item.difficulty_score is None:
+                    item = replace(item, difficulty_score=mean)
+                items.append(item)
         stages.append(
             Stage(
                 name=f"stage{index // grouping + 1}",

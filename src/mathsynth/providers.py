@@ -8,6 +8,10 @@ without touching the transport.
 
 The salt exists so a retry of a rejected generation can carry the same wire
 payload but a distinct cache identity; HTTP transports ignore it.
+
+A client carries its ProviderConfig, and `cfg.models` (ModelRoles) is the
+one place that names the model each pipeline role requests: the stage
+functions read their role's model from the client they are given.
 """
 from __future__ import annotations
 
@@ -194,6 +198,8 @@ class ResponseCache:
         return self.path
 
     def get(self, key: str) -> dict[str, Any] | None:
+        """The response cached under `key`, or None; a body that is not a JSON
+        object with a `response` key is a ValueError naming the log and the key."""
         entry = self._index.get(key)
         if entry is None:
             return None
@@ -202,7 +208,10 @@ class ResponseCache:
                 if self._read_fd is None:
                     self._read_fd = os.open(self.path, os.O_RDONLY)
         offset, length = entry
-        return json.loads(os.pread(self._read_fd, length, offset))["response"]
+        try:
+            return json.loads(os.pread(self._read_fd, length, offset))["response"]
+        except (ValueError, KeyError, TypeError) as exc:  # ValueError covers bad JSON
+            raise ValueError(f"{self.path}: entry {key}: malformed body: {exc!r}") from None
 
     def put(self, key: str, endpoint: str, salt: str, response: dict[str, Any]) -> None:
         if len(key) != 64:
@@ -551,13 +560,13 @@ class ChatClient:
         key = request.key()
         self.stats.bump("requests")
         if self.cache is not None:
-            body = self.cache.get(key)
-            if body is not None:
-                self.stats.bump("cache_hits")
-                try:
+            try:
+                body = self.cache.get(key)
+                if body is not None:
+                    self.stats.bump("cache_hits")
                     return _extract_content(body, key)
-                except TransportError as exc:
-                    raise ProviderError(f"malformed chat cache entry {key}: {exc}") from exc
+            except (ValueError, TransportError) as exc:
+                raise ProviderError(f"malformed chat cache entry {key}: {exc}") from exc
         payload = request.payload()
 
         def attempt_once() -> tuple[dict[str, Any], str]:
@@ -604,7 +613,7 @@ def _extract_content(body: dict[str, Any], key: str) -> str:
 
 
 class EmbeddingClient:
-    """Batched embedding client; caches one response-log entry per input text.
+    """Batched client for the `cfg.models.embedder` model; one cache entry per text.
 
     An entry's response is `{"f64le": <base64 of the vector's little-endian
     float64 bytes>}`, an exact round trip at under half the size of JSON
@@ -621,19 +630,17 @@ class EmbeddingClient:
     def __init__(
         self,
         transport: Any,
-        model_tag: str,
         cfg: ProviderConfig | None = None,
         cache: ResponseCache | None = None,
     ):
         self.transport = transport
-        self.model_tag = model_tag
         self.cfg = cfg or ProviderConfig()
         self.cache = cache
         self.stats = ProviderStats()
 
     def _text_key(self, text: str) -> str:
         return cache_key(
-            "/embeddings", {"model": self.model_tag, "input": [text]}, self.ENCODING
+            "/embeddings", {"model": self.cfg.models.embedder, "input": [text]}, self.ENCODING
         )
 
     def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
@@ -645,10 +652,10 @@ class EmbeddingClient:
         for i, key in enumerate(keys):
             self.stats.bump("requests")
             if self.cache is not None:
-                body = self.cache.get(key)
-                if body is not None:
+                vector = _cached_vector(self.cache, key)
+                if vector is not None:
                     self.stats.bump("cache_hits")
-                    out[i] = _decode_vector(body, key)
+                    out[i] = vector
                     continue
             pending.append(i)
         for start in range(0, len(pending), self.cfg.embed_batch_size):
@@ -668,7 +675,7 @@ class EmbeddingClient:
         return vectors
 
     def _embed_batch(self, batch: list[str]) -> list[EmbeddingVector]:
-        payload = {"model": self.model_tag, "input": batch}
+        payload = {"model": self.cfg.models.embedder, "input": batch}
 
         def attempt_once() -> list[EmbeddingVector]:
             try:
@@ -691,12 +698,15 @@ def _encode_vector(vector: EmbeddingVector) -> dict[str, str]:
     return {EmbeddingClient.ENCODING: base64.b64encode(raw).decode("ascii")}
 
 
-def _decode_vector(body: dict[str, Any], key: str) -> EmbeddingVector:
-    """The vector of a cached embedding entry; a malformed entry is an error naming its key."""
+def _cached_vector(cache: ResponseCache, key: str) -> EmbeddingVector | None:
+    """The vector cached under `key`, or None; a malformed entry is an error naming its key."""
     try:
+        body = cache.get(key)
+        if body is None:
+            return None
         raw = base64.b64decode(body[EmbeddingClient.ENCODING], validate=True)
         return EmbeddingVector(np.frombuffer(raw, dtype="<f8"))
-    except (KeyError, TypeError, ValueError) as exc:  # bad base64, length or vector
+    except (KeyError, TypeError, ValueError) as exc:  # bad body, base64, length or vector
         raise ProviderError(f"malformed embedding cache entry {key}: {exc}") from exc
 
 

@@ -1,9 +1,10 @@
 """Quality control: rubric-based automated verification plus a sampled manual review loop.
 
-Stage one judges every synthesized question on six fixed dimensions via a
-verifier model, with cheap structural checks short-circuiting the provider
-call. Stage two exports a seeded random sample to a file a human annotator
-fills in; imported rejects drop items from the dataset.
+Stage one judges every synthesized question on six fixed dimensions via the
+verifier model (`client.cfg.models.verifier`), with cheap structural checks
+short-circuiting the provider call; a verdict's overall pass is the
+conjunction of its dimensions. Stage two exports a seeded random sample to a
+file a human annotator fills in; imported rejects drop items from the dataset.
 """
 from __future__ import annotations
 
@@ -56,11 +57,10 @@ class VerdictParseError(ValueError):
 
 @dataclass(frozen=True)
 class VerificationVerdict:
-    """Per-dimension pass/fail for one question; overall is the conjunction."""
+    """Per-dimension pass/fail for one question; `overall` is derived, never stored."""
 
     question_id: str
     dimension_scores: Mapping[str, bool]
-    overall: bool
     rationale: str = ""
 
     def __post_init__(self) -> None:
@@ -70,19 +70,11 @@ class VerificationVerdict:
                 f"dimension_scores must cover exactly {DIMENSIONS}, got {sorted(scores)}"
             )
         object.__setattr__(self, "dimension_scores", MappingProxyType(scores))
-        if self.overall != all(scores.values()):
-            raise QualityError("overall verdict must equal the conjunction of the dimensions")
 
-    @classmethod
-    def from_scores(
-        cls, question_id: str, scores: Mapping[str, bool], rationale: str = ""
-    ) -> "VerificationVerdict":
-        return cls(
-            question_id=question_id,
-            dimension_scores=dict(scores),
-            overall=all(scores.values()),
-            rationale=rationale,
-        )
+    @property
+    def overall(self) -> bool:
+        """The conjunction of the dimensions."""
+        return all(self.dimension_scores.values())
 
     def to_record(self) -> dict[str, Any]:
         return {
@@ -109,7 +101,8 @@ def structural_issues(question_text: str) -> list[tuple[str, str]]:
 
 
 def parse_verdict(text: str, question_id: str) -> VerificationVerdict:
-    """Read one "<Label>: PASS|FAIL" line per dimension; overall is recomputed, not trusted."""
+    """Read one "<Label>: PASS|FAIL" line per dimension; the reply's own "Overall" line
+    is not read, as the verdict derives overall from the dimensions."""
     scores: dict[str, bool] = {}
     for dim in DIMENSIONS:
         label = DIMENSION_LABELS[dim]
@@ -119,13 +112,12 @@ def parse_verdict(text: str, question_id: str) -> VerificationVerdict:
         if match is None:
             raise VerdictParseError(f"no {label!r} line in verifier response")
         scores[dim] = match.group(1).upper() == "PASS"
-    return VerificationVerdict.from_scores(question_id, scores, rationale=text.strip())
+    return VerificationVerdict(question_id, scores, rationale=text.strip())
 
 
-def verify_question(
-    question: SynthesizedQuestion, client: ChatClient, model: str
-) -> VerificationVerdict:
-    """Verdict for one unverified question; structural rejects never call the provider."""
+def verify_question(question: SynthesizedQuestion, client: ChatClient) -> VerificationVerdict:
+    """Verdict for one unverified question from the client's verifier model;
+    structural rejects never call the provider."""
     if question.status != "unverified":
         raise QualityError(f"{question.id} has status {question.status!r}, expected unverified")
     issues = structural_issues(question.question)
@@ -134,9 +126,9 @@ def verify_question(
         for dim, _ in issues:
             scores[dim] = False
         rationale = "; ".join(f"structural: {reason}" for _, reason in issues)
-        return VerificationVerdict.from_scores(question.id, scores, rationale=rationale)
+        return VerificationVerdict(question.id, scores, rationale=rationale)
     request = ChatRequest.user(
-        model,
+        client.cfg.models.verifier,
         render_verification_prompt(question.question),
         temperature=0.0,
         max_tokens=512,
@@ -153,7 +145,7 @@ class VerificationOutcome:
 
 
 def verify_dataset(
-    questions: Sequence[SynthesizedQuestion], client: ChatClient, model: str
+    questions: Sequence[SynthesizedQuestion], client: ChatClient
 ) -> VerificationOutcome:
     """Verify every unverified question; unparseable verdicts leave items unverified.
 
@@ -167,7 +159,7 @@ def verify_dataset(
         if question.status != "unverified":
             return question, None, None
         try:
-            verdict = verify_question(question, client, model)
+            verdict = verify_question(question, client)
         except (ProviderError, VerdictParseError) as exc:
             return question, None, (question.id, str(exc))
         status = "verified" if verdict.overall else "rejected"

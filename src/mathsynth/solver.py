@@ -1,9 +1,10 @@
 """Solution generation with format and degeneracy gates.
 
 Solutions for synthesized questions are produced by a long-form reasoning
-model, with the parent problems and answers supplied as auxiliary context.
-Each attempt must end in a well-formed boxed answer and stay under the 2/3-gram
-repetition thresholds; failing attempts are regenerated up to a bound.
+model, the client's `cfg.models.solver`, with the parent problems and answers
+supplied as auxiliary context. Each attempt must end in a well-formed boxed
+answer and stay under the 2/3-gram repetition thresholds; failing attempts are
+regenerated up to a bound.
 """
 from __future__ import annotations
 
@@ -256,10 +257,10 @@ def solve_with_gates(
     question: SynthesizedQuestion,
     parents: tuple[SeedProblem, SeedProblem],
     client: ChatClient,
-    model: str,
     cfg: GateConfig | None = None,
 ) -> SolutionRecord:
-    """Generate, gate-check, and regenerate up to max_attempts; the prompt never changes.
+    """Generate with the client's solver model, gate-check, and regenerate up to
+    max_attempts; the prompt never changes.
 
     Each attempt carries a distinct cache salt so a regeneration is a fresh
     sample instead of a cache replay of the rejected one. Provider errors
@@ -275,7 +276,7 @@ def solve_with_gates(
     text = ""
     for attempt in range(1, cfg.max_attempts + 1):
         request = ChatRequest.user(
-            model,
+            client.cfg.models.solver,
             prompt,
             temperature=cfg.temperature,
             max_tokens=cfg.max_tokens,
@@ -315,7 +316,6 @@ def solve_dataset(
     questions: Sequence[SynthesizedQuestion],
     parents_by_id: dict[str, SeedProblem],
     client: ChatClient,
-    model: str,
     cfg: GateConfig | None = None,
 ) -> list[SolutionRecord]:
     """Solve every verified question; caller filters statuses beforehand if needed."""
@@ -329,7 +329,7 @@ def solve_dataset(
             )
         except KeyError as exc:
             raise SolverError(f"{question.id}: unknown parent id {exc}") from None
-        return solve_with_gates(question, parents, client, model, cfg)
+        return solve_with_gates(question, parents, client, cfg)
 
     return map_bounded(run_one, list(questions), client.cfg.max_in_flight)
 

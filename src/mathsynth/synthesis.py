@@ -1,10 +1,10 @@
 """Question synthesis: render generation prompts, parse outputs, assign difficulty labels.
 
-Two templates produce new questions from a pair of similar seed problems:
-"hybrid" fuses both parents into one harder scenario, "decomposed" simplifies
-the harder parent toward the easier one. Seed problems are also re-emitted
-unchanged as the "original" category, giving three difficulty levels per seed
-corpus.
+Two templates have the generator model (`client.cfg.models.generator`)
+write new questions from a pair of similar seed problems: "hybrid" fuses both
+parents into one harder scenario, "decomposed" simplifies the harder parent
+toward the easier one. Seed problems are also re-emitted unchanged as the
+"original" category, giving three difficulty levels per seed corpus.
 """
 from __future__ import annotations
 
@@ -75,18 +75,6 @@ class SynthesizedQuestion:
             "parent_high_id": self.parent_high_id,
             "status": self.status,
         }
-
-    @classmethod
-    def from_record(cls, record: dict[str, Any]) -> "SynthesizedQuestion":
-        return cls(
-            id=record["id"],
-            question=record["question"],
-            category=record["category"],
-            nominal_difficulty=float(record["nominal_difficulty"]),
-            parent_low_id=record["parent_low_id"],
-            parent_high_id=record["parent_high_id"],
-            status=record.get("status", "unverified"),
-        )
 
 
 @dataclass(frozen=True)
@@ -183,15 +171,16 @@ def synthesize_category(
     pairs: Sequence[QuestionPair],
     template: str,
     client: ChatClient,
-    model: str,
     cfg: SynthesisConfig | None = None,
 ) -> SynthesisResult:
-    """Generate one question per pairable seed; one salted retry on parse failure."""
+    """Generate one question per pairable seed with the client's generator model;
+    one salted retry on parse failure."""
     if template not in GENERATION_TEMPLATES:
         raise SynthesisError(f"unknown template {template!r}")
     cfg = cfg or SynthesisConfig()
     seeds = sorted(corpus.problems, key=lambda p: p.id)
     pair_of = generation_pairs(pairs)
+    model = client.cfg.models.generator
 
     def run_one(seed: SeedProblem) -> tuple[str, Any]:
         pair = pair_of.get(seed.id)
@@ -268,13 +257,35 @@ def save_questions(questions: Sequence[SynthesizedQuestion], path: str | Path) -
     jsonl.write_records(path, (q.to_record() for q in questions))
 
 
+# Each field of a question row, in SynthesizedQuestion's order, and its kind.
+_QUESTION_FIELDS = dict(
+    id=str,
+    question=str,
+    category=str,
+    nominal_difficulty=float,
+    parent_low_id=str,
+    parent_high_id=str,
+    status=str,
+)
+
+
 def load_questions(path: str | Path) -> list[SynthesizedQuestion]:
+    """The questions of a generated or verified file; a row without `status` is unverified.
+
+    A missing or mistyped field, or a row the question checks reject, is a
+    SynthesisError naming the file and line.
+    """
     out = []
     for lineno, record in jsonl.read_records(path):
         try:
-            out.append(SynthesizedQuestion.from_record(record))
-        except (KeyError, TypeError, ValueError) as exc:  # ValueError covers SynthesisError
+            qid, question, category, nominal, *rest = jsonl.fields(
+                path, lineno, {"status": "unverified", **record}, **_QUESTION_FIELDS
+            )
+            out.append(SynthesizedQuestion(qid, question, category, float(nominal), *rest))
+        except SynthesisError as exc:
             raise SynthesisError(f"{path}: line {lineno}: {exc}") from None
+        except ValueError as exc:  # jsonl.fields names the file and line itself
+            raise SynthesisError(str(exc)) from None
     return out
 
 

@@ -9,7 +9,13 @@ from typing import Any
 import pytest
 
 from mathsynth.corpus import Corpus, SeedProblem
-from mathsynth.providers import ChatClient, MockTransport, ProviderConfig, ResponseCache
+from mathsynth.providers import (
+    ChatClient,
+    MockTransport,
+    ModelRoles,
+    ProviderConfig,
+    ResponseCache,
+)
 
 # No backoff sleeps in tests; retry behavior itself is still exercised.
 FAST_CFG = ProviderConfig(max_retries=3, backoff_base=0.0)
@@ -66,10 +72,13 @@ def make_chat(
     max_retries: int = 3,
     latency: float = 0.0,
     max_in_flight: int = 8,
+    models: ModelRoles = ModelRoles(),
 ) -> tuple[ChatClient, MockTransport]:
     transport = MockTransport(seed=seed, script=script, latency=latency)
     cache = ResponseCache(cache_dir) if cache_dir is not None else None
-    cfg = ProviderConfig(max_retries=max_retries, backoff_base=0.0, max_in_flight=max_in_flight)
+    cfg = ProviderConfig(
+        max_retries=max_retries, backoff_base=0.0, max_in_flight=max_in_flight, models=models
+    )
     return ChatClient(transport, cfg, cache), transport
 
 

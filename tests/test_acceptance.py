@@ -30,7 +30,7 @@ from mathsynth.quality import (
 )
 from mathsynth.solver import GateConfig, check_gates, ngram_degeneracy
 from mathsynth.synthesis import SynthesizedQuestion, nominal_difficulty
-from test_curriculum import _item, pure_items, two_dataset_items
+from test_curriculum import _item, pure_items, scored, two_dataset_items
 from test_pairing import as_embeddings, oracle_pairs, pair_set, random_corpus
 from test_quality import verdict_text
 
@@ -185,7 +185,7 @@ def test_criterion_06_verification_conjunction_and_short_circuit():
             parent_high_id="b",
         )
         client, transport = make_chat()
-        verdict = verify_question(question, client, "verifier-model")
+        verdict = verify_question(question, client)
         assert transport.calls == 0
         assert verdict.overall is False
 
@@ -212,7 +212,7 @@ def test_criterion_08_curriculum_laws():
         assert means == sorted(means)
 
         datasets, scores = two_dataset_items()
-        blended = build_blended_curriculum(datasets, scores, grouping=2)
+        blended = build_blended_curriculum(scored(datasets, scores), grouping=2)
         assert len(blended.stages) == 3
         flat = [label for stage in blended.stages for label in stage.categories]
         category_means = {
@@ -232,7 +232,7 @@ def test_criterion_08_curriculum_laws():
                     items.append(_item(qid, label))
                     if i == 0 or rng.random() < 0.6:
                         trial_scores[qid] = float(rng.randint(1, 10))
-            plan = build_blended_curriculum([items], trial_scores, rng.randint(1, 3))
+            plan = build_blended_curriculum(scored([items], trial_scores), rng.randint(1, 3))
             staged = [i.question_id for s in plan.stages for i in s.items]
             assert sorted(staged) == sorted(i.question_id for i in items)
             assert len(set(staged)) == len(staged)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 
 import mathsynth.cli as cli
 from conftest import topic_pair_corpus, write_corpus_file
-from mathsynth.providers import MockTransport
+from mathsynth.providers import MockTransport, cache_key
 
 
 def merged(base, override):
@@ -354,7 +355,15 @@ def test_malformed_artifact_row_names_its_file_and_line(tmp_path, capsys, artifa
             2,
             lambda row: row.update(nominal_difficulty="hard"),
             "verify",
-            "could not convert string to float: 'hard'",
+            "nominal_difficulty must be a number, got 'hard'",
+        ),
+        (
+            ["pair", "generate"],
+            "generated/hybrid.jsonl",
+            2,
+            lambda row: row.update(question=5),
+            "verify",
+            "question must be a string, got 5",
         ),
     ],
     ids=[
@@ -362,6 +371,7 @@ def test_malformed_artifact_row_names_its_file_and_line(tmp_path, capsys, artifa
         "pair-with-text-similarity",
         "pair-in-descending-order",
         "question-with-text-difficulty",
+        "question-with-numeric-text",
     ],
 )
 def test_malformed_stage_input_names_its_file_and_line(
@@ -531,6 +541,40 @@ def test_run_all_with_scores_and_blending(tmp_path):
     means = [s["mean_difficulty"] for s in blended["stages"]]
     assert means == sorted(means)
     assert blended["total_items"] == 24
+
+
+def test_each_stage_requests_its_roles_model_from_the_config(tmp_path):
+    roles = {
+        "generator": "gen-model",
+        "verifier": "verify-model",
+        "solver": "solve-model",
+        "scorer": "score-model",
+        "embedder": "embed-model",
+    }
+    overrides = {"providers": {"models": roles}, "curriculum": {"use_scores": True}}
+    config_path, out = make_run(tmp_path, overrides, n_topics=4)
+    with warnings.catch_warnings():
+        # Measured scores may invert the pure plan's fixed category order,
+        # which warns; the models requested are what this test checks.
+        warnings.simplefilter("ignore", UserWarning)
+        assert cli.main(["run-all", "--config", str(config_path)]) == cli.EXIT_OK
+
+    salt_roles = {"gen": "generator", "verify": "verifier", "solve": "solver", "score": "scorer"}
+    chat_roles, embedding_keys = set(), set()
+    for line in (out / "cache" / "responses" / "log").read_text(encoding="utf-8").splitlines():
+        key, entry = line[:64], json.loads(line[65:])
+        if entry["endpoint"] == "/embeddings":
+            embedding_keys.add(key)
+            continue
+        role = salt_roles[entry["salt"].split(":")[0]]
+        assert entry["response"]["model"] == roles[role], entry["salt"]
+        chat_roles.add(role)
+    assert chat_roles == set(salt_roles.values())
+    seed_texts = [row["question"] for row in read_jsonl(tmp_path / "seeds.jsonl")]
+    assert embedding_keys == {
+        cache_key("/embeddings", {"model": roles["embedder"], "input": [text]}, "f64le")
+        for text in seed_texts
+    }
 
 
 # --- over HTTP --------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Curriculum staging: pure category order, scoring, blending, and SFT export."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -21,7 +22,7 @@ from mathsynth.curriculum import (
     save_scores,
     score_difficulty,
 )
-from mathsynth.providers import TransportError
+from mathsynth.providers import ModelRoles, TransportError
 
 
 def _item(
@@ -137,8 +138,8 @@ def test_difficulty_score_range():
 
 def test_score_difficulty_happy_path():
     items = [_item(f"hybrid:q{i}", "toy/hybrid") for i in range(4)]
-    client, _ = make_chat(max_in_flight=1)
-    scores, missing = score_difficulty(items, client, "scorer-model")
+    client, _ = make_chat(max_in_flight=1, models=ModelRoles(scorer="scorer-model"))
+    scores, missing = score_difficulty(items, client)
     assert missing == []
     assert {s.question_id for s in scores} == {i.question_id for i in items}
     assert all(1.0 <= s.score <= 10.0 for s in scores)
@@ -151,7 +152,7 @@ def test_score_difficulty_retry_then_missing():
     client, transport = make_chat(
         script={"an unratable question": "no numbers here"}, max_in_flight=1
     )
-    scores, missing = score_difficulty([noisy, clean], client, "m")
+    scores, missing = score_difficulty([noisy, clean], client)
     assert [s.question_id for s in scores] == ["hybrid:clean"]
     assert missing == [("hybrid:noisy", "no number in scorer response: 'no numbers here'")]
     assert transport.calls == 3  # two salted attempts for the noisy item
@@ -161,7 +162,7 @@ def test_score_difficulty_clamps_out_of_range():
     item = _item("hybrid:hot", "toy/hybrid", question="an impossible question")
     client, _ = make_chat(script={"an impossible question": "Difficulty: 15/10"}, max_in_flight=1)
     with pytest.warns(UserWarning, match="clamped"):
-        scores, missing = score_difficulty([item], client, "m")
+        scores, missing = score_difficulty([item], client)
     assert missing == [] and scores[0].score == 10.0
 
 
@@ -171,12 +172,20 @@ def test_score_difficulty_provider_error_goes_missing():
         script={"a question nobody hears": TransportError("down", retryable=False)},
         max_in_flight=1,
     )
-    scores, missing = score_difficulty([item], client, "m")
+    scores, missing = score_difficulty([item], client)
     assert scores == [] and missing[0][0] == "hybrid:down"
     assert missing[0][1].startswith("provider:")
 
 
 # --- blended curriculum -----------------------------------------------------------
+
+
+def scored(datasets, scores):
+    """The datasets with each item's difficulty_score read from `scores`; None if absent."""
+    return [
+        [dataclasses.replace(i, difficulty_score=scores.get(i.question_id)) for i in dataset]
+        for dataset in datasets
+    ]
 
 
 def two_dataset_items():
@@ -205,7 +214,7 @@ def two_dataset_items():
 
 def test_blended_groups_categories_by_mean_rank():
     datasets, scores = two_dataset_items()
-    plan = build_blended_curriculum(datasets, scores, grouping=2)
+    plan = build_blended_curriculum(scored(datasets, scores), grouping=2)
     assert [s.name for s in plan.stages] == ["stage1", "stage2", "stage3"]
     assert [s.categories for s in plan.stages] == [
         ("alpha/decomposed", "beta/decomposed"),
@@ -225,7 +234,7 @@ def test_blended_tie_breaks_by_dataset_then_category():
         _item("a:dec:q", "alpha/mmm"),
     ]
     scores = {"b:orig:q": 5.0, "a:orig:q": 5.0, "a:dec:q": 5.0}
-    plan = build_blended_curriculum([items], scores, grouping=1)
+    plan = build_blended_curriculum(scored([items], scores), grouping=1)
     assert [s.categories[0] for s in plan.stages] == ["alpha/mmm", "alpha/zzz", "beta/aaa"]
 
 
@@ -236,7 +245,7 @@ def test_blended_unscored_items_inherit_category_mean():
         _item("hybrid:q2", "toy/hybrid"),
     ]
     scores = {"hybrid:q0": 6.0, "hybrid:q1": 8.0}
-    plan = build_blended_curriculum([items], scores, grouping=1)
+    plan = build_blended_curriculum(scored([items], scores), grouping=1)
     by_id = {i.question_id: i for i in plan.stages[0].items}
     assert by_id["hybrid:q2"].difficulty_score == 7.0  # category mean of the scored two
     assert by_id["hybrid:q0"].difficulty_score == 6.0
@@ -245,16 +254,16 @@ def test_blended_unscored_items_inherit_category_mean():
 def test_blended_rejects_unscored_categories_and_bad_grouping():
     items = [_item("hybrid:q0", "toy/hybrid")]
     with pytest.raises(CurriculumError, match="no scored items"):
-        build_blended_curriculum([items], {}, grouping=1)
+        build_blended_curriculum([items], grouping=1)
     with pytest.raises(CurriculumError, match="grouping"):
-        build_blended_curriculum([items], {"hybrid:q0": 5.0}, grouping=0)
+        build_blended_curriculum(scored([items], {"hybrid:q0": 5.0}), grouping=0)
     with pytest.raises(CurriculumError, match="no items"):
-        build_blended_curriculum([], {}, grouping=1)
+        build_blended_curriculum([], grouping=1)
 
 
 def test_blended_single_stage_when_grouping_covers_everything():
     datasets, scores = two_dataset_items()
-    plan = build_blended_curriculum(datasets, scores, grouping=10)
+    plan = build_blended_curriculum(scored(datasets, scores), grouping=10)
     assert len(plan.stages) == 1
     assert plan.stages[0].categories[0] == "alpha/decomposed"
     assert plan.total_items() == 12
@@ -274,7 +283,7 @@ def test_blended_partitions_items_randomized():
                 if i == 0 or rng.random() < 0.7:
                     scores[qid] = float(rng.randint(1, 10))
         grouping = rng.randint(1, 3)
-        plan = build_blended_curriculum([items], scores, grouping=grouping)
+        plan = build_blended_curriculum(scored([items], scores), grouping=grouping)
         staged = [i.question_id for s in plan.stages for i in s.items]
         assert sorted(staged) == sorted(i.question_id for i in items)
         means = [s.mean_difficulty for s in plan.stages]

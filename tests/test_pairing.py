@@ -268,7 +268,7 @@ def test_pairs_round_trip(tmp_path, toy_corpus):
 
 def _cached_embedder(cache_dir) -> tuple[EmbeddingClient, MockTransport]:
     transport = MockTransport(seed=0)
-    return EmbeddingClient(transport, "unit-embedder", cache=ResponseCache(cache_dir)), transport
+    return EmbeddingClient(transport, cache=ResponseCache(cache_dir)), transport
 
 
 def test_embedding_cache_round_trip(tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 import base64
 import json
 import os
+import re
 import socket
 import ssl
 import sys
@@ -201,14 +202,21 @@ def test_malformed_chat_entry_fails_its_seed_not_the_command(tmp_path, capsys):
     )
     cache.put(key, entry["endpoint"], entry["salt"], {"choices": []})
     cache.close()
-    capsys.readouterr()
-    assert cli.main(["generate", "--config", str(config_path)]) == cli.EXIT_PARTIAL
-    assert capsys.readouterr().err == ""
     seed_id = entry["salt"].split(":")[2]
     skips = out / "artifacts" / "toy" / "generated" / "skips_hybrid.jsonl"
-    [row] = [json.loads(line) for line in skips.read_text().splitlines()]
-    assert (row["seed_id"], row["kind"]) == (seed_id, "failure")
-    assert row["reason"].startswith(f"provider: malformed chat cache entry {key}")
+
+    def assert_only_its_seed_fails() -> None:
+        capsys.readouterr()
+        assert cli.main(["generate", "--config", str(config_path)]) == cli.EXIT_PARTIAL
+        assert capsys.readouterr().err == ""
+        [row] = [json.loads(line) for line in skips.read_text().splitlines()]
+        assert (row["seed_id"], row["kind"]) == (seed_id, "failure")
+        assert row["reason"].startswith(f"provider: malformed chat cache entry {key}")
+
+    assert_only_its_seed_fails()
+    with open(cache.path, "ab") as log:  # a later line for the key whose body is not JSON
+        log.write(key.encode("ascii") + b"\tnot json\n")
+    assert_only_its_seed_fails()
 
 
 # --- response cache log -----------------------------------------------------
@@ -245,6 +253,45 @@ def test_malformed_whole_line_is_an_error(tmp_path):
     (tmp_path / ResponseCache.LOG_NAME).write_bytes(b"not a cache entry\n")
     with pytest.raises(ValueError, match="line 1"):
         ResponseCache(tmp_path)
+
+
+_DAMAGED_BODIES = [
+    b"not json",
+    b"\xff\xfe",
+    b"[1, 2]",
+    b'{"endpoint": "/unit", "salt": ""}',
+]
+
+
+def _log_with_body(root, key: str, body: bytes) -> ResponseCache:
+    root.mkdir(parents=True, exist_ok=True)
+    (root / ResponseCache.LOG_NAME).write_bytes(key.encode("ascii") + b"\t" + body + b"\n")
+    return ResponseCache(root)
+
+
+@pytest.mark.parametrize("body", _DAMAGED_BODIES)
+def test_damaged_entry_body_is_an_error_naming_the_log_and_key(tmp_path, body):
+    cache = _log_with_body(tmp_path, _key(0), body)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(cache.path))}: entry {_key(0)}: "):
+        cache.get(_key(0))
+    cache.close()
+
+
+@pytest.mark.parametrize("body", _DAMAGED_BODIES)
+def test_damaged_entry_body_is_a_provider_error_in_either_client(tmp_path, body):
+    chat_cache = _log_with_body(tmp_path / "chat", _req().key(), body)
+    client = ChatClient(MockTransport(), cache=chat_cache)
+    with pytest.raises(ProviderError, match=f"malformed chat cache entry {_req().key()}"):
+        client.complete(_req())
+    chat_cache.close()
+
+    key = EmbeddingClient(None)._text_key("probe")
+    embed_cache = _log_with_body(tmp_path / "embed", key, body)
+    embedder = EmbeddingClient(MockTransport(), cache=embed_cache)
+    with pytest.raises(ProviderError, match=f"malformed embedding cache entry {key}"):
+        embedder.embed(["probe"])
+    assert client.transport.calls == embedder.transport.calls == 0
+    embed_cache.close()
 
 
 def test_concurrent_puts_are_all_read_back_by_a_fresh_cache(tmp_path):
@@ -593,7 +640,7 @@ def test_https_builds_one_tls_context_from_the_first_ca_bundle_variable(monkeypa
 def test_embeddings_batched_ordered_and_cached(tmp_path):
     cfg = ProviderConfig(embed_batch_size=2, backoff_base=0.0)
     transport = MockTransport(seed=0)
-    client = EmbeddingClient(transport, "bge-test", cfg, ResponseCache(tmp_path / "cache"))
+    client = EmbeddingClient(transport, cfg, ResponseCache(tmp_path / "cache"))
     texts = [f"embedding probe text {i}" for i in range(5)]
     vectors = client.embed(texts)
     assert len(vectors) == 5
@@ -602,7 +649,7 @@ def test_embeddings_batched_ordered_and_cached(tmp_path):
         np.testing.assert_allclose(vector.values, mock_embedding(text), atol=0)
 
     warm_transport = MockTransport(seed=0)
-    warm = EmbeddingClient(warm_transport, "bge-test", cfg, ResponseCache(tmp_path / "cache"))
+    warm = EmbeddingClient(warm_transport, cfg, ResponseCache(tmp_path / "cache"))
     again = warm.embed(texts + ["one brand new text"])
     assert warm_transport.calls == 1  # only the new text goes out
     assert len(again) == 6
@@ -628,11 +675,11 @@ def test_embedding_entries_round_trip_bitwise_through_a_fresh_cache(tmp_path):
         "huge": [1e150, -1e150, 0.1],
         "plain": mock_embedding("plain", dim=3),
     }
-    client = EmbeddingClient(_VectorTransport(vectors), "bge-test", cache=ResponseCache(tmp_path))
+    client = EmbeddingClient(_VectorTransport(vectors), cache=ResponseCache(tmp_path))
     texts = list(vectors)
     client.embed(texts)
     client.cache.close()
-    fresh = EmbeddingClient(_VectorTransport({}), "bge-test", cache=ResponseCache(tmp_path))
+    fresh = EmbeddingClient(_VectorTransport({}), cache=ResponseCache(tmp_path))
     loaded = fresh.embed(texts)
     assert fresh.transport.calls == 0
     for text, vector in zip(texts, loaded):
@@ -648,7 +695,7 @@ def test_json_float_embedding_entries_are_misses_and_stay_in_the_log(tmp_path):
     texts = [f"embedding probe text {i}" for i in range(3)]
     old = ResponseCache(tmp_path)
     for text in texts:
-        old_key = cache_key("/embeddings", {"model": "bge-test", "input": [text]}, "")
+        old_key = cache_key("/embeddings", {"model": ModelRoles().embedder, "input": [text]}, "")
         body = {"data": [{"index": 0, "embedding": mock_embedding(text)}]}
         old.put(old_key, "/embeddings", "", body)
     old.close()
@@ -656,7 +703,7 @@ def test_json_float_embedding_entries_are_misses_and_stay_in_the_log(tmp_path):
 
     cfg = ProviderConfig(embed_batch_size=1)
     transport = MockTransport()
-    client = EmbeddingClient(transport, "bge-test", cfg, ResponseCache(tmp_path))
+    client = EmbeddingClient(transport, cfg, ResponseCache(tmp_path))
     vectors = client.embed(texts)
     client.cache.close()
     assert transport.calls == len(texts)
@@ -665,7 +712,7 @@ def test_json_float_embedding_entries_are_misses_and_stay_in_the_log(tmp_path):
     assert log.startswith(old_bytes) and log.count(b"\n") == 2 * len(texts)
 
     warm_transport = MockTransport()
-    warm = EmbeddingClient(warm_transport, "bge-test", cfg, ResponseCache(tmp_path))
+    warm = EmbeddingClient(warm_transport, cfg, ResponseCache(tmp_path))
     again = warm.embed(texts)
     warm.cache.close()
     assert warm_transport.calls == 0
@@ -688,7 +735,7 @@ def _b64(raw: bytes) -> str:
     ],
 )
 def test_malformed_embedding_entry_is_an_error_naming_its_key(tmp_path, response):
-    client = EmbeddingClient(MockTransport(), "bge-test", cache=ResponseCache(tmp_path))
+    client = EmbeddingClient(MockTransport(), cache=ResponseCache(tmp_path))
     key = client._text_key("probe")
     client.cache.put(key, "/embeddings", EmbeddingClient.ENCODING, response)
     with pytest.raises(ProviderError, match=key):
@@ -697,7 +744,7 @@ def test_malformed_embedding_entry_is_an_error_naming_its_key(tmp_path, response
 
 
 def test_embedding_entry_of_another_dimension_is_an_error_naming_its_key(tmp_path):
-    client = EmbeddingClient(MockTransport(dim=4), "bge-test", cache=ResponseCache(tmp_path))
+    client = EmbeddingClient(MockTransport(dim=4), cache=ResponseCache(tmp_path))
     client.embed(["first", "second"])
     odd_key = client._text_key("second")
     odd = {EmbeddingClient.ENCODING: _b64(np.ones(3).tobytes())}
@@ -711,7 +758,7 @@ def test_malformed_embedding_entry_makes_the_cli_exit_1(tmp_path, capsys):
     config_path, out = make_run(tmp_path)
     assert cli.main(["pair", "--config", str(config_path)]) == cli.EXIT_OK
     question = json.loads((tmp_path / "seeds.jsonl").read_text().splitlines()[0])["question"]
-    key = EmbeddingClient(None, ModelRoles().embedder)._text_key(question)
+    key = EmbeddingClient(None)._text_key(question)
     cache = ResponseCache(out / "cache" / "responses")
     cache.put(key, "/embeddings", EmbeddingClient.ENCODING, {"f64le": "%%%"})
     cache.close()
@@ -720,9 +767,16 @@ def test_malformed_embedding_entry_makes_the_cli_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: malformed embedding cache entry " + key)
 
+    with open(cache.path, "ab") as log:  # a later line for the key whose body is not JSON
+        log.write(key.encode("ascii") + b"\tnot json\n")
+    assert cli.main(["pair", "--config", str(config_path)]) == cli.EXIT_FATAL
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed embedding cache entry " + key)
+    assert str(cache.path) in err
+
 
 def test_embed_empty_list_is_an_error():
-    client = EmbeddingClient(MockTransport(), "bge-test")
+    client = EmbeddingClient(MockTransport())
     with pytest.raises(ProviderError):
         client.embed([])
 
@@ -736,9 +790,7 @@ def test_embedding_retry_then_fail():
             raise TransportError("overloaded", retryable=True, status=503)
 
     transport = FlakyTransport()
-    client = EmbeddingClient(
-        transport, "bge-test", ProviderConfig(max_retries=3, backoff_base=0.0)
-    )
+    client = EmbeddingClient(transport, ProviderConfig(max_retries=3, backoff_base=0.0))
     with pytest.raises(ProviderError):
         client.embed(["text"])
     assert transport.calls == 3

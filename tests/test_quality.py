@@ -64,15 +64,9 @@ def test_overall_is_conjunction_for_all_64_combinations():
         assert dict(verdict.dimension_scores) == bits
 
 
-def test_verdict_object_rejects_inconsistent_overall():
-    scores = {d: True for d in DIMENSIONS}
+def test_verdict_object_requires_every_dimension():
     with pytest.raises(QualityError):
-        VerificationVerdict(question_id="q", dimension_scores=scores, overall=False)
-    with pytest.raises(QualityError):
-        VerificationVerdict(
-            question_id="q", dimension_scores={"clarity": True}, overall=True
-        )
-    assert VerificationVerdict.from_scores("q", scores).overall is True
+        VerificationVerdict(question_id="q", dimension_scores={"clarity": True})
 
 
 def test_parse_verdict_tolerates_case_and_bullets():
@@ -113,7 +107,7 @@ def test_structural_issue_detection():
 
 def test_structural_reject_skips_the_provider():
     client, transport = make_chat()
-    verdict = verify_question(_question("Recall Problem 1 and extend it."), client, "v-model")
+    verdict = verify_question(_question("Recall Problem 1 and extend it."), client)
     assert transport.calls == 0
     assert verdict.overall is False
     assert verdict.dimension_scores["relevance"] is False
@@ -124,12 +118,12 @@ def test_structural_reject_skips_the_provider():
 def test_verify_question_requires_unverified_status():
     client, _ = make_chat()
     with pytest.raises(QualityError, match="verified"):
-        verify_question(_question(status="verified"), client, "v-model")
+        verify_question(_question(status="verified"), client)
 
 
 def test_verify_question_happy_path():
     client, transport = make_chat()
-    verdict = verify_question(_question(), client, "v-model")
+    verdict = verify_question(_question(), client)
     assert verdict.overall is True
     assert transport.calls == 1
 
@@ -152,7 +146,7 @@ def test_verify_dataset_statuses_and_errors():
         },
         max_in_flight=1,
     )
-    outcome = verify_dataset(questions, client, "v-model")
+    outcome = verify_dataset(questions, client)
     by_id = {q.id: q.status for q in outcome.questions}
     assert by_id == {
         "hybrid:ok": "verified",

@@ -329,7 +329,7 @@ def test_solution_prompt_orders_parents_and_checks_ids():
 
 def test_solve_happy_path():
     client, transport = make_chat()
-    record = solve_with_gates(_question(), (LOW, HIGH), client, "solver-model")
+    record = solve_with_gates(_question(), (LOW, HIGH), client)
     assert record.status == "accepted"
     assert record.attempts == 1
     assert record.final_answer.isdigit()
@@ -342,7 +342,7 @@ def test_solve_regenerates_until_gates_pass():
     bad = "the answer is " * 20
     good = "Add the counts and subtract the discards to get \\boxed{7}."
     client, transport = make_chat(script={marker: [bad, bad, good, good]})
-    record = solve_with_gates(_question(), (LOW, HIGH), client, "solver-model")
+    record = solve_with_gates(_question(), (LOW, HIGH), client)
     assert record.status == "accepted"
     assert record.attempts == 3
     assert record.final_answer == "7"
@@ -353,7 +353,7 @@ def test_solve_fails_after_attempt_budget():
     marker = _question().question
     client, transport = make_chat(script={marker: "never a boxed answer"})
     cfg = GateConfig(max_attempts=3)
-    record = solve_with_gates(_question(), (LOW, HIGH), client, "solver-model", cfg)
+    record = solve_with_gates(_question(), (LOW, HIGH), client, cfg)
     assert record.status == "failed"
     assert record.attempts == 3
     assert record.final_answer == ""
@@ -366,11 +366,11 @@ def test_provider_errors_consume_attempts():
     outage = TransportError("down", retryable=False)
     good = "Count carefully: \\boxed{11}."
     client, _ = make_chat(script={marker: [outage, outage, good, good]})
-    record = solve_with_gates(_question(), (LOW, HIGH), client, "solver-model")
+    record = solve_with_gates(_question(), (LOW, HIGH), client)
     assert record.status == "accepted" and record.attempts == 3
 
     always_down, _ = make_chat(script={marker: outage})
-    failed = solve_with_gates(_question(), (LOW, HIGH), always_down, "solver-model")
+    failed = solve_with_gates(_question(), (LOW, HIGH), always_down)
     assert failed.status == "failed"
     assert "provider" in failed.gate_report.failures[0]
 
@@ -378,7 +378,7 @@ def test_provider_errors_consume_attempts():
 def test_solve_requires_verified_status():
     client, _ = make_chat()
     with pytest.raises(SolverError, match="unverified"):
-        solve_with_gates(_question(status="unverified"), (LOW, HIGH), client, "m")
+        solve_with_gates(_question(status="unverified"), (LOW, HIGH), client)
 
 
 def test_solution_record_invariants():
@@ -407,7 +407,7 @@ def test_solve_dataset_and_persistence(tmp_path):
     questions = [_question(), _question(id="hybrid:b", question="How many pallets total?")]
     parents = {"a": LOW, "b": HIGH}
     client, _ = make_chat(max_in_flight=2)
-    records = solve_dataset(questions, parents, client, "solver-model")
+    records = solve_dataset(questions, parents, client)
     assert [r.question_id for r in records] == ["hybrid:a", "hybrid:b"]
     assert all(r.status == "accepted" for r in records)
 
@@ -425,4 +425,4 @@ def test_solve_dataset_and_persistence(tmp_path):
     assert gate_rows[0]["passed"] is True and gate_rows[0]["question_id"] == "hybrid:a"
 
     with pytest.raises(SolverError, match="unknown parent"):
-        solve_dataset(questions, {"a": LOW}, client, "solver-model")
+        solve_dataset(questions, {"a": LOW}, client)

@@ -201,23 +201,32 @@ def test_question_validation():
 
 def test_question_record_round_trip(tmp_path):
     q = _question()
-    record = q.to_record()
     path = tmp_path / "q.jsonl"
     save_questions([q], path)
     loaded = load_questions(path)
     assert len(loaded) == 1
-    assert loaded[0] == SynthesizedQuestion.from_record(record) == q
+    assert loaded[0] == q
 
     path.write_text('{"id": "x"}\n', encoding="utf-8")
     with pytest.raises(SynthesisError, match="line 1"):
         load_questions(path)
 
 
-@pytest.mark.parametrize("difficulty", ["hard", None, [7.0]])
-def test_load_questions_names_the_line_of_a_non_numeric_difficulty(tmp_path, difficulty):
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        pytest.param("nominal_difficulty", "hard", id="hard"),
+        pytest.param("nominal_difficulty", None, id="None"),
+        pytest.param("nominal_difficulty", [7.0], id="difficulty2"),
+        pytest.param("nominal_difficulty", True, id="bool-difficulty"),
+        pytest.param("question", 5, id="int-question"),
+        pytest.param("id", 7, id="int-id"),
+    ],
+)
+def test_load_questions_names_the_line_of_a_non_numeric_difficulty(tmp_path, field, value):
     path = tmp_path / "q.jsonl"
     records = [_question().to_record(), _question(id="hybrid:y").to_record()]
-    records[1]["nominal_difficulty"] = difficulty
+    records[1][field] = value
     path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     with pytest.raises(SynthesisError, match=rf"^{re.escape(str(path))}: line 2: "):
         load_questions(path)
@@ -229,7 +238,7 @@ def test_load_questions_names_the_line_of_a_non_numeric_difficulty(tmp_path, dif
 def test_synthesize_happy_path(toy_corpus):
     pairs = toy_pairs(toy_corpus)
     client, _ = make_chat()
-    result = synthesize_category(toy_corpus, pairs, "hybrid", client, "gen-model")
+    result = synthesize_category(toy_corpus, pairs, "hybrid", client)
     assert len(result.questions) == 20
     assert result.skipped == () and result.failures == ()
     sample = {q.id: q for q in result.questions}["hybrid:q00a"]
@@ -238,13 +247,13 @@ def test_synthesize_happy_path(toy_corpus):
     assert {sample.parent_low_id, sample.parent_high_id} == {"q00a", "q00b"}
     assert sample.status == "unverified"
 
-    decomposed = synthesize_category(toy_corpus, pairs, "decomposed", client, "gen-model")
+    decomposed = synthesize_category(toy_corpus, pairs, "decomposed", client)
     assert {q.nominal_difficulty for q in decomposed.questions} == {4.0}
 
 
 def test_synthesize_skips_unpaired_seeds(toy_corpus):
     client, transport = make_chat()
-    result = synthesize_category(toy_corpus, [], "hybrid", client, "gen-model")
+    result = synthesize_category(toy_corpus, [], "hybrid", client)
     assert result.questions == ()
     assert len(result.skipped) == 20
     assert transport.calls == 0
@@ -258,7 +267,7 @@ def test_parse_failure_gets_one_salted_retry():
     client, transport = make_chat(
         script={"#Scenario Integration#": ["no header at all", good, good]}, max_in_flight=1
     )
-    result = synthesize_category(corpus, pairs, "hybrid", client, "gen-model")
+    result = synthesize_category(corpus, pairs, "hybrid", client)
     assert len(result.questions) == 2 and result.failures == ()
     assert transport.calls == 3  # one seed needed a second attempt
 
@@ -268,7 +277,7 @@ def test_persistent_parse_failure_is_recorded():
     client, transport = make_chat(
         script={"#Scenario Integration#": "never a header"}, max_in_flight=1
     )
-    result = synthesize_category(corpus, toy_pairs(corpus), "hybrid", client, "gen-model")
+    result = synthesize_category(corpus, toy_pairs(corpus), "hybrid", client)
     assert result.questions == ()
     assert len(result.failures) == 2
     assert transport.calls == 4  # two attempts per seed
@@ -281,7 +290,7 @@ def test_provider_failure_is_recorded():
         script={"#Scenario Integration#": TransportError("down", retryable=False)},
         max_in_flight=1,
     )
-    result = synthesize_category(corpus, toy_pairs(corpus), "hybrid", client, "gen-model")
+    result = synthesize_category(corpus, toy_pairs(corpus), "hybrid", client)
     assert len(result.failures) == 2
     assert all(reason.startswith("provider:") for _, reason in result.failures)
 
@@ -289,7 +298,7 @@ def test_provider_failure_is_recorded():
 def test_every_seed_lands_in_exactly_one_bucket(toy_corpus):
     pairs = toy_pairs(toy_corpus)[:4]  # only the first few topics stay pairable
     client, _ = make_chat()
-    result = synthesize_category(toy_corpus, pairs, "decomposed", client, "gen-model")
+    result = synthesize_category(toy_corpus, pairs, "decomposed", client)
     ids = (
         [q.id.split(":", 1)[1] for q in result.questions]
         + [sid for sid, _ in result.skipped]
