@@ -120,9 +120,9 @@ class Pipeline:
 
     Each seed corpus is parsed once, when the pipeline opens. The chat and
     embedding clients carry `cfg.providers`, so each stage reads its role's
-    model from its client (`client.cfg.models`). Every stage goes through the
-    one transport, so its kept-alive connections last the run; each stage's
-    `map_bounded` call starts and stops its own threads.
+    model from its client (`client.cfg.models`) and asks through one
+    `complete_each` loop over the one transport, whose kept-alive connections
+    last the run; each fan-out starts and stops its own threads.
     """
 
     def __init__(self, cfg: RunConfig, out_dir: Path, resume: bool = False):

@@ -5,7 +5,7 @@ their fixed difficulty order. The blended plan merges several graded datasets,
 ranks whole categories by the mean of their items' difficulty scores, and
 groups consecutive categories into stages (two per stage by default), so a
 fine-tune can walk a merged corpus from easy to hard. Scores come from the
-client's scorer model (`client.cfg.models.scorer`).
+client's scorer model (`client.cfg.models.scorer`) via `client.complete_each`.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from typing import Sequence
 
 from . import jsonl
 from .prompts import render_scoring_prompt
-from .providers import ChatClient, ChatRequest, ProviderError, map_bounded
+from .providers import ChatClient, ChatRequest, ProviderError
 from .synthesis import CATEGORIES
 
 SCORE_RANGE = (1.0, 10.0)
@@ -167,35 +167,31 @@ def score_difficulty(
     items: Sequence[GradedItem], client: ChatClient
 ) -> tuple[list[DifficultyScore], list[tuple[str, str]]]:
     """One difficulty score per item from the client's scorer model, which each
-    score names; unparseable responses get one retry, then go missing."""
+    score names; attempt n carries the salt `score:{id}:{n}`, and an
+    unparseable response gets one retry, then the item goes missing."""
     model = client.cfg.models.scorer
 
-    def run_one(item: GradedItem) -> DifficultyScore | tuple[str, str]:
-        prompt = render_scoring_prompt(item.question)
-        last_reason = ""
-        for attempt in (1, 2):
-            request = ChatRequest.user(
-                model,
-                prompt,
-                temperature=0.0,
-                max_tokens=64,
-                cache_salt=f"score:{item.question_id}:{attempt}",
-            )
-            try:
-                content = client.complete(request)
-            except ProviderError as exc:
-                return (item.question_id, f"provider: {exc}")
-            value = parse_score(content)
-            if value is not None:
-                return DifficultyScore(
-                    question_id=item.question_id,
-                    score=_clamp_score(value, item.question_id),
-                    scorer_tag=model,
-                )
-            last_reason = f"no number in scorer response: {content[:80]!r}"
-        return (item.question_id, last_reason)
+    def request(item: GradedItem, attempt: int) -> ChatRequest:
+        return ChatRequest.user(
+            model,
+            render_scoring_prompt(item.question),
+            temperature=0.0,
+            max_tokens=64,
+            cache_salt=f"score:{item.question_id}:{attempt}",
+        )
 
-    results = map_bounded(run_one, list(items), client.cfg.max_in_flight)
+    def accept(
+        item: GradedItem, attempt: int, reply: str | ProviderError
+    ) -> tuple[bool, DifficultyScore | tuple[str, str]]:
+        if isinstance(reply, ProviderError):
+            return True, (item.question_id, f"provider: {reply}")
+        value = parse_score(reply)
+        if value is None:
+            return False, (item.question_id, f"no number in scorer response: {reply[:80]!r}")
+        score = _clamp_score(value, item.question_id)
+        return True, DifficultyScore(item.question_id, score, model)
+
+    results = client.complete_each(list(items), request, accept, 2)
     scores = [r for r in results if isinstance(r, DifficultyScore)]
     missing = [r for r in results if not isinstance(r, DifficultyScore)]
     return scores, missing

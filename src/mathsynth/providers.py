@@ -404,8 +404,8 @@ class MockTransport:
     cache tests.
 
     `script` maps a substring of the prompt to a canned reply: a string, an
-    exception to raise, a callable `(payload, salt) -> str`, or a list of
-    those consumed one per call (last entry repeats). First match wins.
+    exception to raise, a callable `(payload, salt) -> str | None` (None: the usual
+    reply), or a list of those consumed per call (last repeats). First match wins.
     """
 
     def __init__(
@@ -578,6 +578,31 @@ class ChatClient:
         if self.cache is not None:
             self.cache.put(key, "/chat/completions", request.cache_salt, body)
         return content
+
+    def complete_each(
+        self,
+        items: Sequence[T],
+        request: Callable[[T, int], ChatRequest],
+        accept: Callable[[T, int, str | ProviderError], tuple[bool, R]],
+        attempts: int,
+    ) -> list[R]:
+        """Per item, in input order: send `request(item, n)` for n = 1..attempts and pass
+        the reply text, or the ProviderError raised, to `accept(item, n, reply)`, which
+        returns (done, result); keep the first done result, else the last. Any other
+        exception propagates. Items fan out `cfg.max_in_flight` at a time."""
+
+        def run_one(item: T) -> R:
+            for n in range(1, attempts + 1):
+                try:
+                    reply: str | ProviderError = self.complete(request(item, n))
+                except ProviderError as exc:
+                    reply = exc
+                done, result = accept(item, n, reply)
+                if done:
+                    break
+            return result
+
+        return map_bounded(run_one, items, self.cfg.max_in_flight)
 
 
 def _with_retries(

@@ -1,10 +1,11 @@
 """Quality control: rubric-based automated verification plus a sampled manual review loop.
 
 Stage one judges every synthesized question on six fixed dimensions via the
-verifier model (`client.cfg.models.verifier`), with cheap structural checks
-short-circuiting the provider call; a verdict's overall pass is the
-conjunction of its dimensions. Stage two exports a seeded random sample to a
-file a human annotator fills in; imported rejects drop items from the dataset.
+verifier model (`client.cfg.models.verifier`, asked through `complete_each`),
+with cheap structural checks short-circuiting the provider call; a verdict's
+overall pass is the conjunction of its dimensions. Stage two exports a seeded
+random sample to a file a human annotator fills in; imported rejects drop
+items from the dataset.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from typing import Any, Mapping, Sequence
 
 from . import jsonl
 from .prompts import render_verification_prompt
-from .providers import ChatClient, ChatRequest, ProviderError, map_bounded
+from .providers import ChatClient, ChatRequest, ProviderError
 from .synthesis import (
     PARENT_REFERENCES,
     SynthesizedQuestion,
@@ -115,26 +116,16 @@ def parse_verdict(text: str, question_id: str) -> VerificationVerdict:
     return VerificationVerdict(question_id, scores, rationale=text.strip())
 
 
-def verify_question(question: SynthesizedQuestion, client: ChatClient) -> VerificationVerdict:
-    """Verdict for one unverified question from the client's verifier model;
-    structural rejects never call the provider."""
-    if question.status != "unverified":
-        raise QualityError(f"{question.id} has status {question.status!r}, expected unverified")
+def _structural_verdict(question: SynthesizedQuestion) -> VerificationVerdict | None:
+    """The failing verdict of a question with structural issues; None if it has none."""
     issues = structural_issues(question.question)
-    if issues:
-        scores = {d: True for d in DIMENSIONS}
-        for dim, _ in issues:
-            scores[dim] = False
-        rationale = "; ".join(f"structural: {reason}" for _, reason in issues)
-        return VerificationVerdict(question.id, scores, rationale=rationale)
-    request = ChatRequest.user(
-        client.cfg.models.verifier,
-        render_verification_prompt(question.question),
-        temperature=0.0,
-        max_tokens=512,
-        cache_salt=f"verify:{question.id}",
-    )
-    return parse_verdict(client.complete(request), question.id)
+    if not issues:
+        return None
+    scores = {d: True for d in DIMENSIONS}
+    for dim, _ in issues:
+        scores[dim] = False
+    rationale = "; ".join(f"structural: {reason}" for _, reason in issues)
+    return VerificationVerdict(question.id, scores, rationale=rationale)
 
 
 @dataclass(frozen=True)
@@ -149,27 +140,45 @@ def verify_dataset(
 ) -> VerificationOutcome:
     """Verify every unverified question; unparseable verdicts leave items unverified.
 
-    Returns updated questions in input order, verdicts for every judged item,
-    and (id, reason) entries for provider or parse errors.
+    Structural rejects never call the provider; the rest get one request each
+    to the client's verifier model, salted `verify:{id}`. Returns updated
+    questions in input order, verdicts for every judged item, and (id, reason)
+    entries for provider or parse errors.
     """
 
-    def run_one(
-        question: SynthesizedQuestion,
-    ) -> tuple[SynthesizedQuestion, VerificationVerdict | None, tuple[str, str] | None]:
-        if question.status != "unverified":
-            return question, None, None
-        try:
-            verdict = verify_question(question, client)
-        except (ProviderError, VerdictParseError) as exc:
-            return question, None, (question.id, str(exc))
-        status = "verified" if verdict.overall else "rejected"
-        return question.with_status(status), verdict, None
+    def request(question: SynthesizedQuestion, attempt: int) -> ChatRequest:
+        return ChatRequest.user(
+            client.cfg.models.verifier,
+            render_verification_prompt(question.question),
+            temperature=0.0,
+            max_tokens=512,
+            cache_salt=f"verify:{question.id}",
+        )
 
-    results = map_bounded(run_one, list(questions), client.cfg.max_in_flight)
-    updated = tuple(q for q, _, _ in results)
-    verdicts = tuple(v for _, v, _ in results if v is not None)
-    errors = tuple(e for _, _, e in results if e is not None)
-    return VerificationOutcome(questions=updated, verdicts=verdicts, errors=errors)
+    def accept(
+        question: SynthesizedQuestion, attempt: int, reply: str | ProviderError
+    ) -> tuple[bool, VerificationVerdict | tuple[str, str]]:
+        if isinstance(reply, ProviderError):
+            return True, (question.id, str(reply))
+        try:
+            return True, parse_verdict(reply, question.id)
+        except VerdictParseError as exc:
+            return True, (question.id, str(exc))
+
+    judged = {
+        i: _structural_verdict(q) for i, q in enumerate(questions) if q.status == "unverified"
+    }
+    asked = [i for i, verdict in judged.items() if verdict is None]
+    replies = client.complete_each([questions[i] for i in asked], request, accept, 1)
+    judged.update(zip(asked, replies))
+    updated, verdicts, errors = list(questions), [], []
+    for i, result in judged.items():
+        if isinstance(result, VerificationVerdict):
+            verdicts.append(result)
+            updated[i] = updated[i].with_status("verified" if result.overall else "rejected")
+        else:
+            errors.append(result)
+    return VerificationOutcome(tuple(updated), tuple(verdicts), tuple(errors))
 
 
 def save_verdicts(verdicts: Sequence[VerificationVerdict], path: str | Path) -> None:

@@ -3,8 +3,8 @@
 Solutions for synthesized questions are produced by a long-form reasoning
 model, the client's `cfg.models.solver`, with the parent problems and answers
 supplied as auxiliary context. Each attempt must end in a well-formed boxed
-answer and stay under the 2/3-gram repetition thresholds; failing attempts are
-regenerated up to a bound.
+answer (when `require_boxed` is on) and stay under the 2/3-gram repetition
+thresholds; `client.complete_each` regenerates failing attempts up to a bound.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import numpy as np
 from . import jsonl
 from .corpus import SeedProblem
 from .prompts import render_solution_prompt as _render_solution_prompt
-from .providers import ChatClient, ChatRequest, ProviderError, map_bounded
+from .providers import ChatClient, ChatRequest, ProviderError
 from .synthesis import SynthesizedQuestion
 
 _PUNCT = re.compile(r"[^\w\s]")
@@ -240,8 +240,8 @@ class SolutionRecord:
             raise SolverError(f"unknown status {self.status!r}")
         if self.attempts < 1:
             raise SolverError("attempts must be at least 1")
-        if self.status == "accepted" and not (self.gate_report.passed and self.final_answer):
-            raise SolverError("accepted record must carry a passing gate report and an answer")
+        if self.status == "accepted" and not self.gate_report.passed:
+            raise SolverError("accepted record must carry a passing gate report")
 
     def to_record(self) -> dict[str, Any]:
         return {
@@ -253,75 +253,23 @@ class SolutionRecord:
         }
 
 
-def solve_with_gates(
-    question: SynthesizedQuestion,
-    parents: tuple[SeedProblem, SeedProblem],
-    client: ChatClient,
-    cfg: GateConfig | None = None,
-) -> SolutionRecord:
-    """Generate with the client's solver model, gate-check, and regenerate up to
-    max_attempts; the prompt never changes.
-
-    Each attempt carries a distinct cache salt so a regeneration is a fresh
-    sample instead of a cache replay of the rejected one. Provider errors
-    count as failed attempts.
-    """
-    cfg = cfg or GateConfig()
-    if question.status != "verified":
-        raise SolverError(
-            f"{question.id} has status {question.status!r}; only verified questions are solved"
-        )
-    prompt = render_solution_prompt(question, parents)
-    report = GateReport(passed=False, final_answer="", failures=("no attempt ran",), stats=())
-    text = ""
-    for attempt in range(1, cfg.max_attempts + 1):
-        request = ChatRequest.user(
-            client.cfg.models.solver,
-            prompt,
-            temperature=cfg.temperature,
-            max_tokens=cfg.max_tokens,
-            top_p=cfg.top_p,
-            top_k=cfg.top_k,
-            min_p=cfg.min_p,
-            cache_salt=f"solve:{question.id}:{attempt}",
-        )
-        try:
-            text = client.complete(request)
-        except ProviderError as exc:
-            report = GateReport(
-                passed=False, final_answer="", failures=(f"provider: {exc}",), stats=()
-            )
-            continue
-        report = check_gates(text, cfg)
-        if report.passed:
-            return SolutionRecord(
-                question_id=question.id,
-                solution_text=text,
-                final_answer=report.final_answer,
-                attempts=attempt,
-                status="accepted",
-                gate_report=report,
-            )
-    return SolutionRecord(
-        question_id=question.id,
-        solution_text=text,
-        final_answer="",
-        attempts=cfg.max_attempts,
-        status="failed",
-        gate_report=report,
-    )
-
-
 def solve_dataset(
     questions: Sequence[SynthesizedQuestion],
     parents_by_id: dict[str, SeedProblem],
     client: ChatClient,
     cfg: GateConfig | None = None,
 ) -> list[SolutionRecord]:
-    """Solve every verified question; caller filters statuses beforehand if needed."""
+    """Solve every question with the client's solver model, gate-check each reply,
+    and regenerate up to max_attempts; the prompt never changes.
+
+    Attempt n carries the salt `solve:{id}:{n}`, so a regeneration is a fresh
+    sample instead of a cache replay of the rejected one. Provider errors
+    count as failed attempts. A question with an unknown parent, or that is
+    not verified, is a SolverError before its first call.
+    """
     cfg = cfg or GateConfig()
 
-    def run_one(question: SynthesizedQuestion) -> SolutionRecord:
+    def request(question: SynthesizedQuestion, attempt: int) -> ChatRequest:
         try:
             parents = (
                 parents_by_id[question.parent_low_id],
@@ -329,9 +277,32 @@ def solve_dataset(
             )
         except KeyError as exc:
             raise SolverError(f"{question.id}: unknown parent id {exc}") from None
-        return solve_with_gates(question, parents, client, cfg)
+        if question.status != "verified":
+            raise SolverError(
+                f"{question.id} has status {question.status!r}; only verified questions are solved"
+            )
+        return ChatRequest.user(
+            client.cfg.models.solver,
+            render_solution_prompt(question, parents),
+            temperature=cfg.temperature,
+            max_tokens=cfg.max_tokens,
+            top_p=cfg.top_p,
+            top_k=cfg.top_k,
+            min_p=cfg.min_p,
+            cache_salt=f"solve:{question.id}:{attempt}",
+        )
 
-    return map_bounded(run_one, list(questions), client.cfg.max_in_flight)
+    def accept(
+        question: SynthesizedQuestion, attempt: int, reply: str | ProviderError
+    ) -> tuple[bool, SolutionRecord]:
+        if isinstance(reply, ProviderError):
+            text, report = "", GateReport(False, "", (f"provider: {reply}",), ())
+        else:
+            text, report = reply, check_gates(reply, cfg)
+        answer, status = (report.final_answer, "accepted") if report.passed else ("", "failed")
+        return report.passed, SolutionRecord(question.id, text, answer, attempt, status, report)
+
+    return client.complete_each(list(questions), request, accept, cfg.max_attempts)
 
 
 def save_solutions(records: Sequence[SolutionRecord], path: str | Path) -> None:

@@ -1,10 +1,11 @@
 """Question synthesis: render generation prompts, parse outputs, assign difficulty labels.
 
-Two templates have the generator model (`client.cfg.models.generator`)
-write new questions from a pair of similar seed problems: "hybrid" fuses both
-parents into one harder scenario, "decomposed" simplifies the harder parent
-toward the easier one. Seed problems are also re-emitted unchanged as the
-"original" category, giving three difficulty levels per seed corpus.
+Two templates have the generator model (`client.cfg.models.generator`, asked
+through `client.complete_each`) write new questions from a pair of similar
+seed problems: "hybrid" fuses both parents into one harder scenario,
+"decomposed" simplifies the harder parent toward the easier one. Seed problems
+are also re-emitted unchanged as the "original" category, giving three
+difficulty levels per seed corpus.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from . import jsonl
 from .corpus import Corpus, SeedProblem
 from .pairing import QuestionPair, generation_pairs
 from .prompts import render_generation_prompt
-from .providers import ChatClient, ChatRequest, ProviderError, map_bounded
+from .providers import ChatClient, ChatRequest, ProviderError
 
 # Total order used by curriculum staging: easiest to hardest.
 CATEGORIES = ("decomposed", "original", "hybrid")
@@ -173,59 +174,57 @@ def synthesize_category(
     client: ChatClient,
     cfg: SynthesisConfig | None = None,
 ) -> SynthesisResult:
-    """Generate one question per pairable seed with the client's generator model;
-    one salted retry on parse failure."""
+    """Generate one question per pairable seed with the client's generator model.
+
+    Attempt n carries the salt `gen:{template}:{seed}:{n}`; a parse failure
+    gets one retry, a provider error ends the seed.
+    """
     if template not in GENERATION_TEMPLATES:
         raise SynthesisError(f"unknown template {template!r}")
     cfg = cfg or SynthesisConfig()
     seeds = sorted(corpus.problems, key=lambda p: p.id)
     pair_of = generation_pairs(pairs)
-    model = client.cfg.models.generator
 
-    def run_one(seed: SeedProblem) -> tuple[str, Any]:
-        pair = pair_of.get(seed.id)
-        if pair is None:
-            return ("skip", (seed.id, "no pair above the similarity threshold"))
-        prompt = render_generation_prompt(template, pair)
-        last_reason = ""
-        for attempt in (1, 2):
-            request = ChatRequest.user(
-                model,
-                prompt,
-                temperature=cfg.temperature,
-                max_tokens=cfg.max_tokens,
-                cache_salt=f"gen:{template}:{seed.id}:{attempt}",
-            )
-            try:
-                content = client.complete(request)
-            except ProviderError as exc:
-                return ("fail", (seed.id, f"provider: {exc}"))
-            try:
-                body = parse_generation(content, template)
-            except GenerationParseError as exc:
-                last_reason = str(exc)
-                continue
-            question = SynthesizedQuestion(
-                id=f"{template}:{seed.id}",
-                question=body,
-                category=template,
-                nominal_difficulty=nominal_difficulty(
-                    template, pair.low.difficulty, pair.high.difficulty, cfg
-                ),
-                parent_low_id=pair.low.id,
-                parent_high_id=pair.high.id,
-            )
-            return ("ok", question)
-        return ("fail", (seed.id, f"parse: {last_reason}"))
+    def request(seed: SeedProblem, attempt: int) -> ChatRequest:
+        return ChatRequest.user(
+            client.cfg.models.generator,
+            render_generation_prompt(template, pair_of[seed.id]),
+            temperature=cfg.temperature,
+            max_tokens=cfg.max_tokens,
+            cache_salt=f"gen:{template}:{seed.id}:{attempt}",
+        )
 
-    outcomes = map_bounded(run_one, seeds, client.cfg.max_in_flight)
-    questions = [payload for kind, payload in outcomes if kind == "ok"]
-    skipped = [payload for kind, payload in outcomes if kind == "skip"]
-    failures = [payload for kind, payload in outcomes if kind == "fail"]
+    def accept(
+        seed: SeedProblem, attempt: int, reply: str | ProviderError
+    ) -> tuple[bool, SynthesizedQuestion | tuple[str, str]]:
+        if isinstance(reply, ProviderError):
+            return True, (seed.id, f"provider: {reply}")
+        try:
+            body = parse_generation(reply, template)
+        except GenerationParseError as exc:
+            return False, (seed.id, f"parse: {exc}")
+        pair = pair_of[seed.id]
+        return True, SynthesizedQuestion(
+            id=f"{template}:{seed.id}",
+            question=body,
+            category=template,
+            nominal_difficulty=nominal_difficulty(
+                template, pair.low.difficulty, pair.high.difficulty, cfg
+            ),
+            parent_low_id=pair.low.id,
+            parent_high_id=pair.high.id,
+        )
+
+    paired = [seed for seed in seeds if seed.id in pair_of]
+    outcomes = client.complete_each(paired, request, accept, 2)
     return SynthesisResult(
-        questions=tuple(questions),
-        skipped=tuple(skipped),
-        failures=tuple(failures),
+        questions=tuple(o for o in outcomes if isinstance(o, SynthesizedQuestion)),
+        skipped=tuple(
+            (seed.id, "no pair above the similarity threshold")
+            for seed in seeds
+            if seed.id not in pair_of
+        ),
+        failures=tuple(o for o in outcomes if not isinstance(o, SynthesizedQuestion)),
     )
 
 

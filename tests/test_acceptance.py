@@ -26,7 +26,7 @@ from mathsynth.quality import (
     DIMENSIONS,
     parse_verdict,
     sample_for_review,
-    verify_question,
+    verify_dataset,
 )
 from mathsynth.solver import GateConfig, check_gates, ngram_degeneracy
 from mathsynth.synthesis import SynthesizedQuestion, nominal_difficulty
@@ -185,7 +185,7 @@ def test_criterion_06_verification_conjunction_and_short_circuit():
             parent_high_id="b",
         )
         client, transport = make_chat()
-        verdict = verify_question(question, client)
+        (verdict,) = verify_dataset([question], client).verdicts
         assert transport.calls == 0
         assert verdict.overall is False
 

@@ -577,6 +577,45 @@ def test_each_stage_requests_its_roles_model_from_the_config(tmp_path):
     }
 
 
+def _reject_first_attempts(payload, salt):
+    """A rejected first reply in generate, solve and score; None leaves a reply to the mock."""
+    stage, *_, attempt = salt.split(":")
+    if attempt == "1":
+        return {"gen": "no header", "solve": "the answer is " * 20, "score": "unsure"}.get(stage)
+    return None
+
+
+def test_worker_count_does_not_change_the_output(tmp_path, monkeypatch):
+    monkeypatch.setattr(
+        cli, "MockTransport", lambda **kw: MockTransport(script={"": _reject_first_attempts}, **kw)
+    )
+    trees, salt_sets = [], []
+    for workers in (1, 2, 8):
+        overrides = {"providers": {"max_in_flight": workers}, "curriculum": {"use_scores": True}}
+        config_path, out = make_run(tmp_path / str(workers), overrides, n_topics=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # scores may invert the pure order
+            assert cli.main(["run-all", "--config", str(config_path)]) == cli.EXIT_OK
+        artifacts = out / "artifacts"
+        files = sorted(p for p in artifacts.rglob("*") if p.is_file())
+        trees.append({str(p.relative_to(artifacts)): p.read_bytes() for p in files})
+        log = (out / "cache" / "responses" / "log").read_text(encoding="utf-8")
+        salt_sets.append({json.loads(line[65:])["salt"] for line in log.splitlines()})
+    assert trees[0] == trees[1] == trees[2]
+    assert salt_sets[0] == salt_sets[1] == salt_sets[2]
+
+    seeds = [row["id"] for row in read_jsonl(tmp_path / "1" / "seeds.jsonl")]
+    generated = [f"{t}:{seed}" for t in ("hybrid", "decomposed") for seed in seeds]
+    originals = [f"original:{seed}" for seed in seeds]
+    assert salt_sets[0] == (
+        {"f64le"}
+        | {f"gen:{qid}:{n}" for qid in generated for n in (1, 2)}
+        | {f"verify:{qid}" for qid in generated}
+        | {f"solve:{qid}:{n}" for qid in generated for n in (1, 2)}
+        | {f"score:{qid}:{n}" for qid in generated + originals for n in (1, 2)}
+    )
+
+
 # --- over HTTP --------------------------------------------------------------------
 
 

@@ -838,6 +838,82 @@ def test_map_bounded_from_a_pool_worker_is_an_error():
         map_bounded(nested, range(4), 2)
 
 
+# --- the attempt loop -------------------------------------------------------
+
+
+def _reply_naming_its_salt(payload, salt):
+    return f"reply to {salt}"
+
+
+def _ask(item, attempt: int) -> ChatRequest:
+    return _req(f"item {item}", salt=f"{item}:{attempt}")
+
+
+def test_complete_each_keeps_input_order_with_four_workers():
+    client, transport = make_chat(
+        script={"item": _reply_naming_its_salt}, max_in_flight=4, latency=0.002
+    )
+    results = client.complete_each(range(20), _ask, lambda i, n, reply: (True, reply), 2)
+    assert results == [f"reply to {i}:1" for i in range(20)]
+    assert transport.calls == 20 and transport.max_concurrent <= 4
+
+
+def test_complete_each_numbers_attempts_from_one_and_stops_at_the_first_done_result():
+    seen = []
+
+    def request(item, attempt):
+        seen.append(("request", item, attempt))
+        return _ask(item, attempt)
+
+    def accept(item, attempt, reply):
+        seen.append(("accept", item, attempt))
+        return attempt == item, (attempt, reply)
+
+    client, transport = make_chat(script={"item": _reply_naming_its_salt}, max_in_flight=1)
+    results = client.complete_each([1, 3], request, accept, 4)
+    assert results == [(1, "reply to 1:1"), (3, "reply to 3:3")]
+    assert seen == [
+        (step, item, attempt)
+        for item in (1, 3)
+        for attempt in range(1, item + 1)
+        for step in ("request", "accept")
+    ]
+    assert transport.calls == 4
+
+
+def test_complete_each_keeps_the_last_result_when_attempts_run_out():
+    client, transport = make_chat(script={"item": _reply_naming_its_salt})
+    results = client.complete_each(["a", "b"], _ask, lambda i, n, reply: (False, reply), 3)
+    assert results == ["reply to a:3", "reply to b:3"]
+    assert transport.calls == 6
+
+
+def test_complete_each_hands_provider_errors_to_accept():
+    outage = TransportError("down", retryable=False)
+    script = {"item a": outage, "item": _reply_naming_its_salt}
+    client, _ = make_chat(script=script, max_in_flight=1)
+    replies = []
+
+    def accept(item, attempt, reply):
+        replies.append(reply)
+        return not isinstance(reply, ProviderError), attempt
+
+    assert client.complete_each(["a", "b"], _ask, accept, 2) == [2, 1]
+    assert [type(r) for r in replies] == [ProviderError, ProviderError, str]
+    assert "down" in str(replies[0]) and replies[2] == "reply to b:1"
+
+
+def test_complete_each_propagates_any_other_exception():
+    def accept(item, attempt, reply):
+        if item == 3:
+            raise ValueError("bad reply")
+        return True, reply
+
+    client, _ = make_chat(script={"item": _reply_naming_its_salt}, max_in_flight=2)
+    with pytest.raises(ValueError, match="bad reply"):
+        client.complete_each(range(6), _ask, accept, 2)
+
+
 def test_provider_stats_counts():
     client, _ = make_chat()
     client.complete(_req("a"))

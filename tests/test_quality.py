@@ -25,7 +25,6 @@ from mathsynth.quality import (
     sample_for_review,
     structural_issues,
     verify_dataset,
-    verify_question,
 )
 from mathsynth.synthesis import SynthesizedQuestion
 
@@ -107,24 +106,21 @@ def test_structural_issue_detection():
 
 def test_structural_reject_skips_the_provider():
     client, transport = make_chat()
-    verdict = verify_question(_question("Recall Problem 1 and extend it."), client)
+    outcome = verify_dataset([_question("Recall Problem 1 and extend it.")], client)
     assert transport.calls == 0
+    (verdict,) = outcome.verdicts
+    assert outcome.questions[0].status == "rejected" and not outcome.errors
     assert verdict.overall is False
     assert verdict.dimension_scores["relevance"] is False
     assert sum(not ok for ok in verdict.dimension_scores.values()) == 1
     assert "structural" in verdict.rationale
 
 
-def test_verify_question_requires_unverified_status():
-    client, _ = make_chat()
-    with pytest.raises(QualityError, match="verified"):
-        verify_question(_question(status="verified"), client)
-
-
 def test_verify_question_happy_path():
     client, transport = make_chat()
-    verdict = verify_question(_question(), client)
-    assert verdict.overall is True
+    outcome = verify_dataset([_question()], client)
+    assert [v.overall for v in outcome.verdicts] == [True]
+    assert outcome.questions[0].status == "verified"
     assert transport.calls == 1
 
 

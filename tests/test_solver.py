@@ -24,7 +24,6 @@ from mathsynth.solver import (
     save_gate_reports,
     save_solutions,
     solve_dataset,
-    solve_with_gates,
     tokenize,
 )
 from mathsynth.synthesis import SynthesizedQuestion
@@ -45,6 +44,11 @@ def _question(**overrides) -> SynthesizedQuestion:
     )
     fields.update(overrides)
     return SynthesizedQuestion(**fields)
+
+
+def _solve(question: SynthesizedQuestion, client, cfg: GateConfig | None = None) -> SolutionRecord:
+    """The record of one question solved alone, with LOW and HIGH as its parents."""
+    return solve_dataset([question], {"a": LOW, "b": HIGH}, client, cfg)[0]
 
 
 # --- boxed answers -----------------------------------------------------------
@@ -329,7 +333,7 @@ def test_solution_prompt_orders_parents_and_checks_ids():
 
 def test_solve_happy_path():
     client, transport = make_chat()
-    record = solve_with_gates(_question(), (LOW, HIGH), client)
+    record = _solve(_question(), client)
     assert record.status == "accepted"
     assert record.attempts == 1
     assert record.final_answer.isdigit()
@@ -342,7 +346,7 @@ def test_solve_regenerates_until_gates_pass():
     bad = "the answer is " * 20
     good = "Add the counts and subtract the discards to get \\boxed{7}."
     client, transport = make_chat(script={marker: [bad, bad, good, good]})
-    record = solve_with_gates(_question(), (LOW, HIGH), client)
+    record = _solve(_question(), client)
     assert record.status == "accepted"
     assert record.attempts == 3
     assert record.final_answer == "7"
@@ -353,7 +357,7 @@ def test_solve_fails_after_attempt_budget():
     marker = _question().question
     client, transport = make_chat(script={marker: "never a boxed answer"})
     cfg = GateConfig(max_attempts=3)
-    record = solve_with_gates(_question(), (LOW, HIGH), client, cfg)
+    record = _solve(_question(), client, cfg)
     assert record.status == "failed"
     assert record.attempts == 3
     assert record.final_answer == ""
@@ -366,31 +370,68 @@ def test_provider_errors_consume_attempts():
     outage = TransportError("down", retryable=False)
     good = "Count carefully: \\boxed{11}."
     client, _ = make_chat(script={marker: [outage, outage, good, good]})
-    record = solve_with_gates(_question(), (LOW, HIGH), client)
+    record = _solve(_question(), client)
     assert record.status == "accepted" and record.attempts == 3
 
     always_down, _ = make_chat(script={marker: outage})
-    failed = solve_with_gates(_question(), (LOW, HIGH), always_down)
+    failed = _solve(_question(), always_down)
     assert failed.status == "failed"
     assert "provider" in failed.gate_report.failures[0]
+
+
+def test_failed_record_carries_its_last_attempt():
+    marker = _question().question
+    outage = TransportError("down", retryable=False)
+    bad = "never a boxed answer"
+    cfg = GateConfig(max_attempts=2)
+    client, _ = make_chat(script={marker: [bad, outage]})
+    failed = _solve(_question(), client, cfg)
+    assert (failed.status, failed.attempts, failed.solution_text) == ("failed", 2, "")
+    assert failed.gate_report.failures[0].startswith("provider: ")
+
+    client, _ = make_chat(script={marker: [outage, bad]})
+    failed = _solve(_question(), client, cfg)
+    assert (failed.status, failed.attempts, failed.solution_text) == ("failed", 2, bad)
+    assert failed.gate_report.failures == check_gates(bad, cfg).failures
+
+
+def test_each_attempt_asks_under_its_own_salt(tmp_path):
+    marker = _question().question
+    good = "Count carefully: \\boxed{11}."
+
+    def reply(payload, salt):
+        return good if salt == "solve:hybrid:a:3" else "the answer is " * 20
+
+    client, transport = make_chat(script={marker: reply}, cache_dir=tmp_path)
+    record = _solve(_question(), client)
+    assert (record.status, record.attempts, transport.calls) == ("accepted", 3, 3)
+
+
+def test_unboxed_reply_is_accepted_when_boxed_answers_are_not_required():
+    marker = _question().question
+    text = "Add the twelve crates to the nine pallets and report twenty one."
+    client, transport = make_chat(script={marker: text})
+    record = _solve(_question(), client, GateConfig(require_boxed=False))
+    assert (record.status, record.attempts, record.final_answer) == ("accepted", 1, "")
+    assert record.gate_report.passed and transport.calls == 1
 
 
 def test_solve_requires_verified_status():
     client, _ = make_chat()
     with pytest.raises(SolverError, match="unverified"):
-        solve_with_gates(_question(status="unverified"), (LOW, HIGH), client)
+        _solve(_question(status="unverified"), client)
 
 
 def test_solution_record_invariants():
     good = check_gates("Total is \\boxed{5}.")
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverError, match="passing gate report"):
         SolutionRecord(
             question_id="q",
             solution_text="t",
-            final_answer="",
+            final_answer="5",
             attempts=1,
             status="accepted",
-            gate_report=good,
+            gate_report=check_gates("t"),
         )
     with pytest.raises(SolverError):
         SolutionRecord(

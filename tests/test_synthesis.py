@@ -286,12 +286,13 @@ def test_persistent_parse_failure_is_recorded():
 
 def test_provider_failure_is_recorded():
     corpus = topic_pair_corpus(n_topics=1)
-    client, _ = make_chat(
+    client, transport = make_chat(
         script={"#Scenario Integration#": TransportError("down", retryable=False)},
         max_in_flight=1,
     )
     result = synthesize_category(corpus, toy_pairs(corpus), "hybrid", client)
     assert len(result.failures) == 2
+    assert transport.calls == 2  # a provider error ends its seed without a retry
     assert all(reason.startswith("provider:") for _, reason in result.failures)
 
 
