@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Hashable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .prompts import render_solution_prompt as _render_solution_prompt
 from .providers import ChatClient, ChatRequest, ProviderError
 from .synthesis import SynthesizedQuestion
 
-_PUNCT = re.compile(r"[^\w\s]")
+_PUNCT = re.compile(r"([^\w\s])")
 _RUN = re.compile(b"\x01+")
 _BOXED = "\\boxed{"
 
@@ -83,10 +83,11 @@ def tokenize(text: str) -> list[str]:
 
     A run of word characters is one token and any other non-space character
     is a token of its own, exactly as `re.findall(r"\\w+|[^\\w\\s]", ...)`
-    would cut them: spacing out the punctuation lets `str.split` do the rest,
-    and it tests whitespace as `\\s` does.
+    would cut them. Splitting on the captured punctuation keeps each mark as
+    an item of its own, so joining with spaces and `str.split` (which tests
+    whitespace as `\\s` does) make the same cuts, all of it in C.
     """
-    return _PUNCT.sub(r" \g<0> ", text.lower()).split()
+    return " ".join(_PUNCT.split(text.lower())).split()
 
 
 @dataclass(frozen=True)
@@ -98,35 +99,30 @@ class NgramStats:
     max_consecutive: int
 
 
-def _intern(keys: Sequence[Hashable]) -> tuple[np.ndarray, int]:
-    """The position where each key first occurs, and the number of distinct keys."""
-    first: dict[Hashable, int] = {}
-    ids = np.fromiter(map(first.setdefault, keys, range(len(keys))), np.int64, len(keys))
-    return ids, len(first)
-
-
 def _ngram_stats(tokens: Sequence[str], ns: range) -> list[NgramStats]:
     """Statistics for each n in ns, from one chain of integer-coded n-grams.
 
-    An n-gram's id is the position where it first occurs. The n-gram at i is
-    coded as id(its (n-1)-gram prefix at i) * len(tokens) + id(token i+n-1):
-    both ids are below len(tokens), so two n-grams share a code exactly when
-    they are equal, and codes stay exact in int64 below 3e9 tokens. Interning
-    the codes gives the prefix ids for n + 1; the last n needs only a count.
+    A token's id is the position where it first occurs, an n-gram's its rank
+    among its level's sorted codes. The n-gram at i is coded as id(its
+    (n-1)-gram prefix at i) * len(tokens) + id(token i+n-1): both ids are
+    below len(tokens), so two n-grams share a code exactly when they are
+    equal, and codes stay exact in int64 below 3e9 tokens. The last n's codes
+    are only sorted, and its distinct ones counted where neighbours differ.
     """
     size = len(tokens)
-    ids, distinct = _intern(tokens)
-    grams = ids
+    first: dict[str, int] = {}
+    ids = np.fromiter(map(first.setdefault, tokens, range(size)), np.int64, size)
+    grams, distinct = ids, len(first)
     stats = []
     for n in range(1, min(ns.stop, size + 1)):
         total = size - n + 1
         if n > 1:
-            codes = grams[:total] * size + ids[n - 1 :]
-            keys = codes.tolist()
+            grams = grams[:total] * size + ids[n - 1 :]
             if n + 1 < ns.stop:
-                grams, distinct = _intern(keys)
+                distinct_codes, grams = np.unique(grams, return_inverse=True)
+                distinct = len(distinct_codes)
             else:  # the last n: its codes are only counted
-                grams, distinct = codes, len(set(keys))
+                distinct = 1 + int(np.count_nonzero(np.diff(np.sort(grams))))
         if n in ns:
             ratio = 1.0 - distinct / total
             stats.append(NgramStats(n, total, distinct, ratio, _longest_run(grams, n)))
@@ -151,8 +147,8 @@ def ngram_degeneracy(text: str | Sequence[str], n: int) -> NgramStats:
     max_consecutive is the longest run of back-to-back identical n-token
     chunks, scanned at every phase offset, so a phrase looping with period n
     is measured by how many times it repeats, not by overlapping-window
-    coincidence. Texts shorter than n tokens score 0 on both. Both statistics
-    take time linear in the number of tokens.
+    coincidence. Texts shorter than n tokens score 0 on both. The distinct
+    count sorts each level's n-gram codes once; the run scan is linear.
     """
     if n < 1:
         raise SolverError("n must be positive")

@@ -7,6 +7,7 @@ from pathlib import Path
 from typing import Any
 
 import pytest
+from hypothesis import settings
 
 from mathsynth.corpus import Corpus, SeedProblem
 from mathsynth.providers import (
@@ -16,6 +17,11 @@ from mathsynth.providers import (
     ProviderConfig,
     ResponseCache,
 )
+
+# `pytest --hypothesis-profile=ci` (the CI workflow's tier-1 step): a failing
+# property prints a `@reproduce_failure` blob that replays its counterexample,
+# and no example fails for its run time on a slow runner.
+settings.register_profile("ci", print_blob=True, deadline=None)
 
 # No backoff sleeps in tests; retry behavior itself is still exercised.
 FAST_CFG = ProviderConfig(max_retries=3, backoff_base=0.0)

@@ -616,6 +616,31 @@ def test_worker_count_does_not_change_the_output(tmp_path, monkeypatch):
     )
 
 
+def test_hash_seed_does_not_change_the_output(tmp_path):
+    # The gates intern tokens in a dict and the stages key items by id, so
+    # nothing written may follow the order of a set or dict of strings.
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, *sys.path])}
+    trees, key_sets = [], []
+    for hash_seed in ("0", "1"):
+        overrides = {"curriculum": {"use_scores": True, "blend": True}}
+        config_path, out = make_run(tmp_path / hash_seed, overrides, n_topics=4)
+        command = [sys.executable, "-m", "mathsynth.cli", "run-all", "--mock"]
+        proc = subprocess.run(
+            [*command, "--config", str(config_path)],
+            env={**env, "PYTHONHASHSEED": hash_seed}, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        artifacts = out / "artifacts"
+        files = sorted(p for p in artifacts.rglob("*") if p.is_file())
+        trees.append({str(p.relative_to(artifacts)): p.read_bytes() for p in files})
+        log = (out / "cache" / "responses" / "log").read_text(encoding="utf-8")
+        key_sets.append({line[:64] for line in log.splitlines()})
+    assert "blended/curriculum/manifest.json" in trees[0]
+    assert trees[0] == trees[1]
+    assert key_sets[0] == key_sets[1]
+
+
 # --- over HTTP --------------------------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import random
 import re
 from dataclasses import replace
 
@@ -215,6 +216,41 @@ def test_ngram_stats_match_reference_for_any_n_up_to_six(tokens, n):
     assert ngram_degeneracy(tokens, n) == oracle_ngram_stats(tokens, n)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1000, 3000),
+    st.sampled_from([30, 300, 5000]),
+    st.integers(0, 2**32),
+    st.integers(1, 4),
+)
+def test_ngram_stats_match_reference_over_a_large_vocabulary(size, vocabulary, seed, n):
+    # Thousands of distinct tokens make the ids, the codes and the ranks of
+    # each level large, where a rank from the wrong level or a code that does
+    # not fit its multiplier collides. The tokens are drawn from a seeded RNG:
+    # hypothesis keeps the lists it draws itself to a few dozen items.
+    rng = random.Random(seed)
+    tokens = [str(rng.randrange(vocabulary)) for _ in range(size)]
+    assert ngram_degeneracy(tokens, n) == oracle_ngram_stats(tokens, n)
+
+
+def _long_looping_trace() -> str:
+    """About 40k tokens: varied reasoning over a 3,000-word vocabulary, then a loop."""
+    rng = random.Random(17)
+    words = [f"w{i}" for i in range(3000)] + ["=", "+", "(", ")", ",", "."]
+    body = " ".join(rng.choice(words) for _ in range(38_000))
+    return body + " the answer is" * 300 + " x y" * 300 + " \\boxed{4}"
+
+
+def test_gate_stats_match_reference_on_a_long_looping_trace():
+    text = _long_looping_trace()
+    tokens = WORD_OR_PUNCT.findall(text.lower())
+    assert 39_000 < len(tokens) < 41_000
+    report = check_gates(text)
+    assert report.stats == (oracle_ngram_stats(tokens, 2), oracle_ngram_stats(tokens, 3))
+    assert (report.stats[0].max_consecutive, report.stats[1].max_consecutive) == (300, 300)
+    assert not report.passed and report.final_answer == "4"
+
+
 TEXTS = st.lists(
     st.tuples(
         st.sampled_from(["x", "y", "sum", "x1", "=", "+", "İ", "\\boxed{2}", "", "\u0301"]),
@@ -393,6 +429,38 @@ def test_failed_record_carries_its_last_attempt():
     failed = _solve(_question(), client, cfg)
     assert (failed.status, failed.attempts, failed.solution_text) == ("failed", 2, bad)
     assert failed.gate_report.failures == check_gates(bad, cfg).failures
+
+
+def test_rate_limit_storms_and_empty_replies(tmp_path):
+    # max_retries 3 (make_chat), no backoff sleeps, three attempts per question.
+    storm = TransportError("429 too many requests", retryable=True, status=429)
+    good = "Count carefully: \\boxed{11}."
+    first = _question()
+    second = _question(id="hybrid:b", question="How many pallets ship on the last day?")
+    script = {
+        # attempt 1: three 429s outlast the retries; attempt 2: an empty reply, retried
+        first.question: [storm, storm, storm, "", good],
+        second.question: storm,  # every call of every attempt
+    }
+    client, transport = make_chat(script=script, cache_dir=tmp_path, max_in_flight=2)
+    ok, down = solve_dataset([first, second], {"a": LOW, "b": HIGH}, client)
+
+    assert (ok.status, ok.attempts, ok.final_answer) == ("accepted", 2, "11")
+    assert (down.status, down.attempts, down.final_answer) == ("failed", 3, "")
+    assert down.gate_report.failures[0].startswith("provider: ")
+    assert "429" in down.gate_report.failures[0]
+
+    log = (tmp_path / "log").read_text(encoding="utf-8")
+    salts = {json.loads(line[65:])["salt"] for line in log.splitlines()}
+    assert salts == {"solve:hybrid:a:2"}  # failed attempts leave nothing cached
+    # first: 3 + 2 calls, 2 + 1 retries; second: 3 attempts of 3 calls, 2 retries each
+    assert client.stats.snapshot() == {
+        "requests": 2 + 3,
+        "cache_hits": 0,
+        "transport_calls": 5 + 9,
+        "retries": 3 + 6,
+    }
+    assert transport.calls == 14
 
 
 def test_each_attempt_asks_under_its_own_salt(tmp_path):
