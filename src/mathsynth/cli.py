@@ -22,6 +22,7 @@ from . import jsonl
 from .config import ConfigError, RunConfig, load_run_config
 from .corpus import Corpus, CorpusError, load_corpus
 from .curriculum import (
+    CurriculumError,
     CurriculumPlan,
     GradedItem,
     build_blended_curriculum,
@@ -337,13 +338,15 @@ def _graded_items(pipe: Pipeline, paths: TagPaths, use_scores: bool) -> list[Gra
         _require(paths.scores, "score")
         scores = load_scores(paths.scores)
     _require(paths.solutions, "solve")
-    accepted = {}
-    for lineno, r in jsonl.read_records(paths.solutions):
-        qid, solution, status = jsonl.fields(
-            paths.solutions, lineno, r, question_id=str, solution=str, status=str
-        )
-        if status == "accepted":
-            accepted[qid] = solution
+
+    def solution(r: dict[str, Any]) -> list[Any]:
+        qid, text, status = row = jsonl.fields(r, question_id=str, solution=str, status=str)
+        if status == "accepted" and not text.strip():
+            raise CurriculumError(f"{qid}: accepted solution must be non-empty")
+        return row
+
+    rows = jsonl.load(paths.solutions, solution, CurriculumError)
+    accepted = {qid: text for qid, text, status in rows if status == "accepted"}
     items = [
         GradedItem(
             q.id,
@@ -357,16 +360,15 @@ def _graded_items(pipe: Pipeline, paths: TagPaths, use_scores: bool) -> list[Gra
     ]
     original_source = paths.verified_file("original")
     _require(original_source, "verify")
-    for lineno, r in jsonl.read_records(original_source):
+
+    def original(r: dict[str, Any]) -> GradedItem:
         qid, question, answer, nominal = jsonl.fields(
-            original_source, lineno, r, id=str, question=str, answer=str, nominal_difficulty=float
+            r, id=str, question=str, answer=str, nominal_difficulty=float
         )
-        items.append(
-            GradedItem(
-                qid, question, answer, f"{paths.tag}/original", scores.get(qid, float(nominal))
-            )
-        )
-    return items
+        label = f"{paths.tag}/original"
+        return GradedItem(qid, question, answer, label, scores.get(qid, float(nominal)))
+
+    return items + jsonl.load(original_source, original, CurriculumError)
 
 
 def cmd_score(pipe: Pipeline) -> dict[str, Any]:

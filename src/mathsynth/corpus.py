@@ -87,21 +87,11 @@ class Corpus:
 
 def problem_from_record(record: dict[str, Any]) -> SeedProblem:
     """Build a SeedProblem from a parsed record, validating the schema; other keys are ignored."""
-    for key in ("question", "answer", "difficulty"):
-        if key not in record:
-            raise CorpusError(f"missing field {key!r}")
-    question = record["question"]
-    answer = record["answer"]
-    if not isinstance(question, str) or not question.strip():
-        raise CorpusError("question must be a non-empty string")
-    if not isinstance(answer, str) or not answer.strip():
-        raise CorpusError("answer must be a non-empty string")
+    question, answer, difficulty = jsonl.fields(record, question=str, answer=str, difficulty=float)
     problem_id = record.get("id") or question_hash(question)
     if not isinstance(problem_id, str):
         raise CorpusError("id must be a string")
-    return SeedProblem(
-        id=problem_id, question=question, answer=answer, difficulty=record["difficulty"]
-    )
+    return SeedProblem(id=problem_id, question=question, answer=answer, difficulty=difficulty)
 
 
 def load_corpus(path: str | Path) -> Corpus:
@@ -118,7 +108,7 @@ def load_corpus(path: str | Path) -> Corpus:
     for lineno, record in jsonl.read_records(path):
         try:
             problem = problem_from_record(record)
-        except CorpusError as exc:
+        except ValueError as exc:
             raise CorpusError(f"{path}: line {lineno}: {exc}") from None
         if problem.id in seen_ids:
             raise CorpusError(

@@ -13,7 +13,7 @@ import re
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Sequence
 
 from . import jsonl
 from .prompts import render_scoring_prompt
@@ -301,8 +301,7 @@ def save_scores(scores: Sequence[DifficultyScore], path: str | Path) -> None:
 
 
 def load_scores(path: str | Path) -> dict[str, float]:
-    rows = (
-        jsonl.fields(path, lineno, record, question_id=str, score=float)
-        for lineno, record in jsonl.read_records(path)
-    )
-    return {question_id: float(score) for question_id, score in rows}
+    def score(record: dict[str, Any]) -> DifficultyScore:
+        return DifficultyScore(*jsonl.fields(record, question_id=str, score=float, scorer_tag=str))
+
+    return {s.question_id: float(s.score) for s in jsonl.load(path, score, CurriculumError)}

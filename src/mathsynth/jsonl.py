@@ -4,8 +4,11 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import sys
 from pathlib import Path
-from typing import Any, Iterable, Iterator, TextIO
+from typing import Any, Callable, Iterable, Iterator, TextIO, TypeVar
+
+T = TypeVar("T")
 
 
 def dump_line(record: dict[str, Any]) -> str:
@@ -25,32 +28,52 @@ def read_records(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: invalid JSON: {exc.msg}") from exc
+            except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
+                reason = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+                raise ValueError(f"{path}: line {lineno}: invalid JSON: {reason}") from exc
             if not isinstance(record, dict):
                 raise ValueError(f"{path}: line {lineno}: expected a JSON object")
             yield lineno, record
 
 
 _KIND_NAMES = {str: "a string", int: "an integer", float: "a number"}
+_FLOAT_MAX = sys.float_info.max
 
 
-def fields(path: str | Path, lineno: int, record: dict[str, Any], **kinds: type) -> list[Any]:
+def load(
+    path: str | Path, build: Callable[[dict[str, Any]], T], error: type[Exception] = ValueError
+) -> list[T]:
+    """`build(record)` for each record of `path`, in file order.
+
+    A ValueError from `build` (a `fields` error, or a check of the object
+    being built) is raised again as `error` naming the file and line.
+    """
+    out = []
+    for lineno, record in read_records(path):
+        try:
+            out.append(build(record))
+        except ValueError as exc:
+            raise error(f"{path}: line {lineno}: {exc}") from None
+    return out
+
+
+def fields(record: dict[str, Any], **kinds: type) -> list[Any]:
     """`record`'s values under the keys of `kinds`, in order, each checked against its kind.
 
-    A kind is `str`, `int` or `float` (any JSON number); neither number kind
-    takes a bool. A missing key or a value of another kind is a ValueError
-    naming the file and line.
+    A kind is `str`, `int` or `float` (a JSON number that a finite float holds);
+    neither number kind takes a bool. A missing key or a value of another kind
+    is a ValueError; `load` adds the file and line.
     """
     values = []
     for key, kind in kinds.items():
         if key not in record:
-            raise ValueError(f"{path}: line {lineno}: missing field {key!r}")
+            raise ValueError(f"missing field {key!r}")
         value = record[key]
         accepted = (int, float) if kind is float else kind
-        if isinstance(value, bool) or not isinstance(value, accepted):
-            expected = _KIND_NAMES[kind]
-            raise ValueError(f"{path}: line {lineno}: {key} must be {expected}, got {value!r}")
+        wrong_kind = isinstance(value, bool) or not isinstance(value, accepted)
+        # NaN fails both comparisons; an int beyond the float range fails one
+        if wrong_kind or (kind is float and not -_FLOAT_MAX <= value <= _FLOAT_MAX):
+            raise ValueError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
         values.append(value)
     return values
 

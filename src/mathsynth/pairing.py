@@ -10,7 +10,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -245,15 +245,14 @@ def save_pairs(pairs: Sequence[QuestionPair], path: str | Path) -> None:
 
 def load_pairs(path: str | Path, corpus: Corpus) -> list[QuestionPair]:
     by_id = corpus.by_id()
-    pairs = []
-    for lineno, record in jsonl.read_records(path):
+
+    def pair(record: dict[str, Any]) -> QuestionPair:
         low_id, high_id, similarity = jsonl.fields(
-            path, lineno, record, low_id=str, high_id=str, similarity=float
+            record, low_id=str, high_id=str, similarity=float
         )
-        try:
-            pairs.append(QuestionPair(by_id[low_id], by_id[high_id], similarity))
-        except KeyError as exc:
-            raise PairingError(f"{path}: line {lineno}: unknown problem id {exc}") from None
-        except PairingError as exc:
-            raise PairingError(f"{path}: line {lineno}: {exc}") from None
-    return pairs
+        for problem_id in (low_id, high_id):
+            if problem_id not in by_id:
+                raise PairingError(f"unknown problem id {problem_id!r}")
+        return QuestionPair(by_id[low_id], by_id[high_id], similarity)
+
+    return jsonl.load(path, pair, PairingError)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Mapping, Sequence
@@ -251,51 +251,34 @@ def export_review_batch(
     jsonl.write_records(path, rows)
 
 
+def _review_line(record: dict[str, Any]) -> ReviewBatch | tuple[str, str, str]:
+    """A header line as its batch without items, or an item line as (question_id, verdict, note)."""
+    if record.get("kind") == REVIEW_HEADER_KIND:
+        record = {"algorithm": REVIEW_SAMPLE_ALGORITHM, **record}
+        sample_rate, seed, population, algorithm = jsonl.fields(
+            record, sample_rate=float, seed=int, population=int, algorithm=str
+        )
+        return ReviewBatch(float(sample_rate), seed, (), population, algorithm)
+    qid, verdict = jsonl.fields(record, question_id=str, verdict=str)
+    if verdict not in ("", *_REVIEW_VERDICTS):
+        raise QualityError(f"verdict must be one of {_REVIEW_VERDICTS} or empty, got {verdict!r}")
+    return qid, verdict, record.get("note", "")
+
+
 def import_review_batch(path: str | Path) -> ReviewBatch:
     """Read an annotated batch; verdicts must be "accept", "reject", or "" (unreviewed).
 
     A missing or mistyped header value, question_id or verdict is a
     QualityError naming the file and line.
     """
-    records = list(jsonl.read_records(path))
-    if not records or records[0][1].get("kind") != REVIEW_HEADER_KIND:
-        raise QualityError(f"{path}: first line must be the review batch header")
-    header_line, header = records[0]
-    header = {"algorithm": REVIEW_SAMPLE_ALGORITHM, **header}
-    sample_rate, seed, population, algorithm = _review_fields(
-        path, header_line, header, sample_rate=float, seed=int, population=int, algorithm=str
+    header, *rows = jsonl.load(path, _review_line, QualityError) or [None]
+    if not isinstance(header, ReviewBatch) or not all(isinstance(row, tuple) for row in rows):
+        raise QualityError(f"{path}: first line must be the review batch header, and no other line")
+    return replace(
+        header,
+        items=tuple(qid for qid, _, _ in rows),
+        verdicts={qid: (verdict, note) for qid, verdict, note in rows if verdict},
     )
-    items: list[str] = []
-    verdicts: dict[str, tuple[str, str]] = {}
-    for lineno, record in records[1:]:
-        qid, verdict = _review_fields(path, lineno, record, question_id=str, verdict=str)
-        items.append(qid)
-        if verdict == "":
-            continue
-        if verdict not in _REVIEW_VERDICTS:
-            raise QualityError(
-                f"{path}: line {lineno}: verdict must be one of "
-                f"{_REVIEW_VERDICTS} or empty, got {verdict!r}"
-            )
-        verdicts[qid] = (verdict, record.get("note", ""))
-    return ReviewBatch(
-        sample_rate=float(sample_rate),
-        seed=seed,
-        items=tuple(items),
-        population=population,
-        algorithm=algorithm,
-        verdicts=verdicts,
-    )
-
-
-def _review_fields(
-    path: str | Path, lineno: int, record: dict[str, Any], **kinds: type
-) -> list[Any]:
-    """`jsonl.fields`, raising its error as a QualityError."""
-    try:
-        return jsonl.fields(path, lineno, record, **kinds)
-    except ValueError as exc:
-        raise QualityError(str(exc)) from None
 
 
 def apply_review(

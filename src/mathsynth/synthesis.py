@@ -268,24 +268,20 @@ _QUESTION_FIELDS = dict(
 )
 
 
+def _question_from_record(record: dict[str, Any]) -> SynthesizedQuestion:
+    qid, question, category, nominal, *rest = jsonl.fields(
+        {"status": "unverified", **record}, **_QUESTION_FIELDS
+    )
+    return SynthesizedQuestion(qid, question, category, float(nominal), *rest)
+
+
 def load_questions(path: str | Path) -> list[SynthesizedQuestion]:
     """The questions of a generated or verified file; a row without `status` is unverified.
 
     A missing or mistyped field, or a row the question checks reject, is a
     SynthesisError naming the file and line.
     """
-    out = []
-    for lineno, record in jsonl.read_records(path):
-        try:
-            qid, question, category, nominal, *rest = jsonl.fields(
-                path, lineno, {"status": "unverified", **record}, **_QUESTION_FIELDS
-            )
-            out.append(SynthesizedQuestion(qid, question, category, float(nominal), *rest))
-        except SynthesisError as exc:
-            raise SynthesisError(f"{path}: line {lineno}: {exc}") from None
-        except ValueError as exc:  # jsonl.fields names the file and line itself
-            raise SynthesisError(str(exc)) from None
-    return out
+    return jsonl.load(path, _question_from_record, SynthesisError)
 
 
 def save_skip_report(

@@ -309,6 +309,27 @@ def test_resume_reruns_a_stage_missing_any_of_its_outputs(tmp_path):
             {"id": "x", "question": "q", "answer": "1", "nominal_difficulty": "3"},
             "nominal_difficulty must be a number, got '3'",
         ),
+        # json.dumps writes NaN, and json.loads reads it back
+        (
+            "scores/scores.jsonl",
+            {"question_id": "x", "score": float("nan"), "scorer_tag": "m"},
+            "score must be a number, got nan",
+        ),
+        (
+            "scores/scores.jsonl",
+            {"question_id": "x", "score": 11.0, "scorer_tag": "m"},
+            "score 11.0 outside [1.0, 10.0]",
+        ),
+        (
+            "solutions/solutions.jsonl",
+            {"question_id": "x", "solution": " ", "status": "accepted"},
+            "x: accepted solution must be non-empty",
+        ),
+        (
+            "verified/original.jsonl",
+            {"id": "x", "question": "q", "answer": "", "nominal_difficulty": 3},
+            "x: question and solution must be non-empty",
+        ),
     ],
 )
 def test_malformed_artifact_row_names_its_file_and_line(tmp_path, capsys, artifact, row, fragment):
@@ -365,6 +386,14 @@ def test_malformed_artifact_row_names_its_file_and_line(tmp_path, capsys, artifa
             "verify",
             "question must be a string, got 5",
         ),
+        (
+            ["pair", "generate"],
+            "generated/hybrid.jsonl",
+            2,
+            lambda row: row.update(nominal_difficulty=float("inf")),
+            "verify",
+            "nominal_difficulty must be a number, got inf",
+        ),
     ],
     ids=[
         "pair-without-similarity",
@@ -372,6 +401,7 @@ def test_malformed_artifact_row_names_its_file_and_line(tmp_path, capsys, artifa
         "pair-in-descending-order",
         "question-with-text-difficulty",
         "question-with-numeric-text",
+        "question-with-infinite-difficulty",
     ],
 )
 def test_malformed_stage_input_names_its_file_and_line(

@@ -1,9 +1,23 @@
-"""Typed field access for JSONL rows."""
+"""Typed rows of JSONL files: `jsonl.load` with `jsonl.fields`."""
 from __future__ import annotations
+
+import json
 
 import pytest
 
-from mathsynth.jsonl import fields
+from mathsynth import jsonl
+from mathsynth.jsonl import fields, load
+
+_GOOD = {"id": "q", "score": 1.5}
+
+
+def _load_rows(tmp_path, monkeypatch, *rows, error=ValueError):
+    """Load `rows` from `rows.jsonl`, named relative to the working directory."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rows.jsonl").write_text(
+        "".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8"
+    )
+    return load("rows.jsonl", lambda record: fields(record, id=str, score=float), error)
 
 
 @pytest.mark.parametrize(
@@ -16,11 +30,55 @@ from mathsynth.jsonl import fields
         ({"score": "x", "id": 5}, "rows.jsonl: line 3: id must be a string, got 5"),
     ],
 )
-def test_fields_name_the_first_bad_field(record, message):
+def test_fields_name_the_first_bad_field(tmp_path, monkeypatch, record, message):
     with pytest.raises(ValueError) as exc:
-        fields("rows.jsonl", 3, record, id=str, score=float)
+        _load_rows(tmp_path, monkeypatch, _GOOD, _GOOD, record)
     assert str(exc.value) == message
 
 
-def test_an_integer_stands_for_a_number():
-    assert fields("rows.jsonl", 1, {"score": 3, "n": 2}, score=float, n=int) == [3, 2]
+@pytest.mark.parametrize(
+    "value",
+    [float("nan"), float("inf"), float("-inf"), 10**400],
+    ids=["nan", "inf", "-inf", "int-beyond-float"],
+)
+def test_a_number_must_be_finite(tmp_path, monkeypatch, value):
+    # json.dumps writes NaN and Infinity, and json.loads reads them back, as
+    # it reads an integer of any size
+    with pytest.raises(ValueError) as exc:
+        _load_rows(tmp_path, monkeypatch, _GOOD, {"id": "q", "score": value})
+    assert str(exc.value) == f"rows.jsonl: line 2: score must be a number, got {value!r}"
+
+
+def test_an_integer_too_long_to_parse_names_its_line(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    row = '{"id": "q", "score": %s}\n' % ("9" * 5000)  # json.dumps would refuse it
+    (tmp_path / "rows.jsonl").write_text(row, encoding="utf-8")
+    with pytest.raises(ValueError, match=r"^rows\.jsonl: line 1: invalid JSON: Exceeds the limit"):
+        load("rows.jsonl", lambda record: fields(record, id=str, score=float))
+
+
+def test_an_integer_stands_for_a_number(tmp_path, monkeypatch):
+    rows = _load_rows(tmp_path, monkeypatch, {"id": "q", "score": 3}, {"score": 2, "id": "r"})
+    assert rows == [["q", 3], ["r", 2]]
+
+
+def test_load_raises_the_error_class_it_is_given(tmp_path, monkeypatch):
+    class RowError(ValueError):
+        pass
+
+    with pytest.raises(RowError, match=r"^rows\.jsonl: line 1: missing field 'score'$"):
+        _load_rows(tmp_path, monkeypatch, {"id": "q"}, error=RowError)
+
+
+def test_load_reads_through_the_module_read_records(tmp_path, monkeypatch):
+    # the benchmark tracer counts rows by patching jsonl.read_records by name
+    read = []
+    original = jsonl.read_records
+
+    def counting(path):
+        read.append(path)
+        return original(path)
+
+    monkeypatch.setattr(jsonl, "read_records", counting)
+    assert _load_rows(tmp_path, monkeypatch, _GOOD) == [["q", 1.5]]
+    assert read == ["rows.jsonl"]

@@ -396,8 +396,10 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
 
     A reply is `(status, body, close)`, or a callable returning one; with
     `close` the server shuts the kept-alive connection after answering,
-    without saying so, and sets `server.closed`. Once the script is empty,
-    `server.default(body)` gives the reply: 200 with a chat completion.
+    without saying so, and sets `server.closed`. A fourth item, when given,
+    is the Content-Length to declare in place of the body's own length. Once
+    the script is empty, `server.default(body)` gives the reply: 200 with a
+    chat completion.
     """
 
     protocol_version = "HTTP/1.1"
@@ -422,12 +424,12 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         self.server.seen.append((self.path, self.headers, body))
         if self.server.script:
             reply = self.server.script.pop(0)
-            status, data, close = reply() if callable(reply) else reply
+            status, data, close, *declared = reply() if callable(reply) else reply
         else:
-            status, data, close = self.server.default(body)
+            status, data, close, *declared = self.server.default(body)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
+        self.send_header("Content-Length", str(declared[0] if declared else len(data)))
         self.end_headers()
         self.wfile.write(data)
         if close:
@@ -521,6 +523,32 @@ def test_http_read_timeout_is_retryable_and_the_next_call_reconnects(serve):
     assert info.value.retryable
     assert transport.request("/chat/completions", {"n": 2}) == json.loads(_CHAT_OK)
     assert server.connections == 2
+
+
+def test_http_body_cut_short_is_retryable_and_the_next_call_reconnects(serve):
+    server = serve()
+    server.script.append((200, _CHAT_OK[:20], True, len(_CHAT_OK)))
+    transport = _connect(server)
+    with pytest.raises(TransportError, match="IncompleteRead") as info:
+        transport.request("/chat/completions", {"n": 1})
+    assert info.value.retryable
+    assert transport.request("/chat/completions", {"n": 2}) == json.loads(_CHAT_OK)
+    assert server.connections == 2
+
+
+def test_http_body_cut_short_is_retried_and_cached_once(serve, tmp_path):
+    server = serve()
+    server.script.append((200, _CHAT_OK[:20], True, len(_CHAT_OK)))
+    cache = ResponseCache(tmp_path / "cache")
+    client = ChatClient(_connect(server), ProviderConfig(max_retries=2, backoff_base=0.0), cache)
+    try:
+        assert client.complete(_req()) == "ok"
+    finally:
+        cache.close()
+    snap = client.stats.snapshot()
+    keys = ("requests", "cache_hits", "transport_calls", "retries")
+    assert [snap.get(key, 0) for key in keys] == [1, 0, 2, 1]
+    assert len(cache.path.read_bytes().splitlines()) == 1
 
 
 def test_http_connection_closed_while_idle_is_replaced_without_a_retry(serve):
