@@ -366,7 +366,7 @@ def _graded_items(pipe: Pipeline, paths: TagPaths, use_scores: bool) -> list[Gra
             r, id=str, question=str, answer=str, nominal_difficulty=float
         )
         label = f"{paths.tag}/original"
-        return GradedItem(qid, question, answer, label, scores.get(qid, float(nominal)))
+        return GradedItem(qid, question, answer, label, scores.get(qid, nominal))
 
     return items + jsonl.load(original_source, original, CurriculumError)
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import types
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Union, get_args, get_origin, get_type_hints
 
+from . import jsonl
 from .pairing import PairingConfig
 from .providers import ProviderConfig
 from .solver import GateConfig
@@ -98,17 +98,14 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         loaded = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, not UTF-8
         raise ConfigError(f"{path}: cannot read: {exc}") from None
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     try:
         return _parse(RunConfig, loaded, "")
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-
-
-_JSON_TYPES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
 
 def _parse(tp: Any, value: Any, path: str) -> Any:
@@ -139,12 +136,12 @@ def _parse(tp: Any, value: Any, path: str) -> Any:
         return None if value is None else _parse(get_args(tp)[0], value, path)
     if get_origin(tp) is tuple:  # `tuple[X, ...]`
         if not isinstance(value, list):
-            raise ConfigError(f"{path} must be a JSON array, got {json.dumps(value)}")
+            raise ConfigError(f"{path} must be a JSON array, got {value!r}")
         return tuple(_parse(get_args(tp)[0], item, f"{path}[{i}]") for i, item in enumerate(value))
+    try:
+        jsonl.check(value, tp, path)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     # An integral number is kept as given (a float field may hold 1), so the
     # config copy and the request payloads show it as the file wrote it.
-    if type(value) is tp and (tp is not float or math.isfinite(value)):
-        return value
-    if tp is float and type(value) is int:
-        return value
-    raise ConfigError(f"{path} must be {_JSON_TYPES[tp]}, got {json.dumps(value)}")
+    return value

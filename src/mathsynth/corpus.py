@@ -7,7 +7,6 @@ keys are ignored.
 from __future__ import annotations
 
 import hashlib
-import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,16 +27,6 @@ def question_hash(text: str) -> str:
     return hashlib.sha256(normalized.encode("utf-8")).hexdigest()
 
 
-def _check_difficulty(value: Any) -> float:
-    # bool is an int subclass; JSON true/false must not pass as a difficulty
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise CorpusError("non-numeric difficulty")
-    value = float(value)
-    if not math.isfinite(value):
-        raise CorpusError("difficulty must be finite")
-    return value
-
-
 @dataclass(frozen=True)
 class SeedProblem:
     """One (question, answer, difficulty) record from a seed corpus."""
@@ -54,7 +43,11 @@ class SeedProblem:
             raise CorpusError("empty question")
         if not self.answer.strip():
             raise CorpusError("empty answer")
-        object.__setattr__(self, "difficulty", _check_difficulty(self.difficulty))
+        try:
+            jsonl.check(self.difficulty, float, "difficulty")
+        except ValueError as exc:
+            raise CorpusError(str(exc)) from None
+        object.__setattr__(self, "difficulty", float(self.difficulty))
 
 
 @dataclass(frozen=True)
@@ -105,7 +98,7 @@ def load_corpus(path: str | Path) -> Corpus:
     problems: list[SeedProblem] = []
     seen_ids: dict[str, int] = {}
     seen_questions: dict[str, int] = {}
-    for lineno, record in jsonl.read_records(path):
+    for lineno, record in jsonl.read_records(path, CorpusError):
         try:
             problem = problem_from_record(record)
         except ValueError as exc:

@@ -304,4 +304,4 @@ def load_scores(path: str | Path) -> dict[str, float]:
     def score(record: dict[str, Any]) -> DifficultyScore:
         return DifficultyScore(*jsonl.fields(record, question_id=str, score=float, scorer_tag=str))
 
-    return {s.question_id: float(s.score) for s in jsonl.load(path, score, CurriculumError)}
+    return {s.question_id: s.score for s in jsonl.load(path, score, CurriculumError)}

@@ -16,27 +16,33 @@ def dump_line(record: dict[str, Any]) -> str:
     return json.dumps(record, ensure_ascii=False) + "\n"
 
 
-def read_records(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
+def read_records(
+    path: str | Path, error: type[Exception] = ValueError
+) -> Iterator[tuple[int, dict[str, Any]]]:
     """Yield (line_number, record) for each non-blank line; line numbers are 1-based.
 
-    Raises ValueError with the offending line number on malformed JSON or
-    on lines that are not JSON objects.
+    A line that is not UTF-8, not JSON or not a JSON object raises `error`
+    naming the file and line. Each line is decoded on its own, so the line
+    of a bad byte is exact.
     """
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    # A line longer than the read buffer is gathered a buffer at a time: at
+    # the default 8 KiB a long solution line reads slower than in text mode.
+    with open(path, "rb", buffering=1 << 18) as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 record = json.loads(line)
-            except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
+            except ValueError as exc:  # not UTF-8, a JSONDecodeError, or an integer too long
                 reason = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
-                raise ValueError(f"{path}: line {lineno}: invalid JSON: {reason}") from exc
+                raise error(f"{path}: line {lineno}: invalid JSON: {reason}") from exc
             if not isinstance(record, dict):
-                raise ValueError(f"{path}: line {lineno}: expected a JSON object")
+                raise error(f"{path}: line {lineno}: expected a JSON object")
             yield lineno, record
 
 
-_KIND_NAMES = {str: "a string", int: "an integer", float: "a number"}
+_KIND_NAMES = {bool: "true or false", str: "a string", int: "an integer", float: "a number"}
 _FLOAT_MAX = sys.float_info.max
 
 
@@ -49,7 +55,7 @@ def load(
     being built) is raised again as `error` naming the file and line.
     """
     out = []
-    for lineno, record in read_records(path):
+    for lineno, record in read_records(path, error):
         try:
             out.append(build(record))
         except ValueError as exc:
@@ -57,24 +63,34 @@ def load(
     return out
 
 
-def fields(record: dict[str, Any], **kinds: type) -> list[Any]:
-    """`record`'s values under the keys of `kinds`, in order, each checked against its kind.
+def check(value: Any, kind: type, name: str) -> None:
+    """Raise a ValueError naming `name` unless `value` is a JSON value of `kind`.
 
-    A kind is `str`, `int` or `float` (a JSON number that a finite float holds);
-    neither number kind takes a bool. A missing key or a value of another kind
-    is a ValueError; `load` adds the file and line.
+    A kind is `bool`, `str`, `int` or `float` (a JSON number that a finite
+    float holds); neither number kind takes a bool (an int subclass).
+    """
+    wrong_kind = type(value) is not kind and (  # the exact type needs no isinstance
+        (isinstance(value, bool) and kind is not bool)
+        or not isinstance(value, (int, float) if kind is float else kind)
+    )
+    # NaN fails both comparisons; an int beyond the float range fails one
+    if wrong_kind or (kind is float and not -_FLOAT_MAX <= value <= _FLOAT_MAX):
+        raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def fields(record: dict[str, Any], **kinds: type) -> list[Any]:
+    """`record`'s values under the keys of `kinds`, in order, each `check`ed; a float's as a float.
+
+    A missing key or a wrong value is a ValueError; `load` adds the file and line.
     """
     values = []
     for key, kind in kinds.items():
-        if key not in record:
-            raise ValueError(f"missing field {key!r}")
-        value = record[key]
-        accepted = (int, float) if kind is float else kind
-        wrong_kind = isinstance(value, bool) or not isinstance(value, accepted)
-        # NaN fails both comparisons; an int beyond the float range fails one
-        if wrong_kind or (kind is float and not -_FLOAT_MAX <= value <= _FLOAT_MAX):
-            raise ValueError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
-        values.append(value)
+        try:
+            value = record[key]
+        except KeyError:
+            raise ValueError(f"missing field {key!r}") from None
+        check(value, kind, key)
+        values.append(float(value) if kind is float else value)
     return values
 
 

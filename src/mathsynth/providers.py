@@ -81,6 +81,10 @@ class ProviderConfig:
         for name in ("mock_dim", "max_retries", "embed_batch_size", "max_in_flight"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not self.timeout > 0:
+            raise ValueError(f"timeout must be positive, got {self.timeout}")
+        if self.backoff_base < 0:
+            raise ValueError(f"backoff_base must be non-negative, got {self.backoff_base}")
         try:
             url = urlsplit(self.base_url)
             valid = url.scheme in ("http", "https") and bool(url.hostname) and url.port != 0
@@ -703,8 +707,8 @@ class EmbeddingClient:
         payload = {"model": self.cfg.models.embedder, "input": batch}
 
         def attempt_once() -> list[EmbeddingVector]:
+            body = self.transport.request("/embeddings", payload, "")
             try:
-                body = self.transport.request("/embeddings", payload, "")
                 data = sorted(body["data"], key=lambda d: d["index"])
                 if len(data) != len(batch):
                     raise TransportError(
@@ -712,7 +716,7 @@ class EmbeddingClient:
                         retryable=True,
                     )
                 return [EmbeddingVector(d["embedding"]) for d in data]
-            except (KeyError, TypeError) as exc:  # not retried
+            except (KeyError, TypeError, ValueError) as exc:  # a bad shape or vector: not retried
                 raise ProviderError(f"malformed embedding response: {exc!r}") from exc
 
         return _with_retries(attempt_once, self.cfg, self.stats, "embedding request failed")

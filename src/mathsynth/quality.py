@@ -258,7 +258,7 @@ def _review_line(record: dict[str, Any]) -> ReviewBatch | tuple[str, str, str]:
         sample_rate, seed, population, algorithm = jsonl.fields(
             record, sample_rate=float, seed=int, population=int, algorithm=str
         )
-        return ReviewBatch(float(sample_rate), seed, (), population, algorithm)
+        return ReviewBatch(sample_rate, seed, (), population, algorithm)
     qid, verdict = jsonl.fields(record, question_id=str, verdict=str)
     if verdict not in ("", *_REVIEW_VERDICTS):
         raise QualityError(f"verdict must be one of {_REVIEW_VERDICTS} or empty, got {verdict!r}")

@@ -272,7 +272,7 @@ def _question_from_record(record: dict[str, Any]) -> SynthesizedQuestion:
     qid, question, category, nominal, *rest = jsonl.fields(
         {"status": "unverified", **record}, **_QUESTION_FIELDS
     )
-    return SynthesizedQuestion(qid, question, category, float(nominal), *rest)
+    return SynthesizedQuestion(qid, question, category, nominal, *rest)
 
 
 def load_questions(path: str | Path) -> list[SynthesizedQuestion]:

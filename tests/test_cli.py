@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, artifacts, review loop, resume, stats."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,11 +10,14 @@ import threading
 import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import pytest
 
 import mathsynth.cli as cli
 from conftest import topic_pair_corpus, write_corpus_file
+from mathsynth.config import RunConfig
 from mathsynth.providers import MockTransport, cache_key
 
 
@@ -97,10 +101,10 @@ def test_non_object_config_section_is_usage_error(tmp_path, capsys):
         ({"synthesis": {"templates": []}}, "template"),
         ({"seed_corpora": [{"path": "/does/not/exist.jsonl", "tag": "x"}]}, "not found"),
         # wrong JSON types, including a bool where an integer belongs
-        ({"pairing": {"tau": "0.8"}}, "pairing.tau must be a number, got \"0.8\""),
+        ({"pairing": {"tau": "0.8"}}, "pairing.tau must be a number, got '0.8'"),
         ({"curriculum": {"grouping": "2"}}, "curriculum.grouping must be an integer"),
         ({"curriculum": {"use_scores": "no"}}, "curriculum.use_scores must be true or false"),
-        ({"seed": True}, "seed must be an integer, got true"),
+        ({"seed": True}, "seed must be an integer, got True"),
         ({"seed_corpora": [{"tag": 5}]}, "seed_corpora[0].tag must be a string, got 5"),
         ({"providers": {"models": {"solver": None}}}, "providers.models.solver must be a string"),
         ({"seed_corpora": [{"tga": "x"}]}, "unknown config keys: ['seed_corpora[0].tga']"),
@@ -114,6 +118,12 @@ def test_non_object_config_section_is_usage_error(tmp_path, capsys):
             {"providers": {"base_url": "localhost:8000/v1"}},
             "providers.base_url must be an http:// or https:// URL with a host",
         ),
+        ({"providers": {"timeout": 0}}, "providers.timeout must be positive, got 0"),
+        ({"providers": {"timeout": -1.5}}, "providers.timeout must be positive, got -1.5"),
+        (
+            {"providers": {"backoff_base": -0.5}},
+            "providers.backoff_base must be non-negative, got -0.5",
+        ),
     ],
 )
 def test_invalid_values_are_usage_errors(tmp_path, capsys, overrides, fragment):
@@ -122,6 +132,50 @@ def test_invalid_values_are_usage_errors(tmp_path, capsys, overrides, fragment):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and fragment in err
     assert not (out / "reports").exists()
+
+
+def _float_leaves(tp: type, prefix: str = "") -> list[str]:
+    """The dotted path of every float leaf under the config dataclass `tp`, sections included."""
+    leaves = []
+    for name, hint in get_type_hints(tp).items():
+        if get_origin(hint) in (Union, UnionType):  # `X | None`
+            hint = get_args(hint)[0]
+        if hint is float:
+            leaves.append(prefix + name)
+        elif dataclasses.is_dataclass(hint):
+            leaves += _float_leaves(hint, f"{prefix}{name}.")
+    return leaves
+
+
+_FLOAT_LEAVES = _float_leaves(RunConfig)
+
+
+def test_float_leaves_are_found():
+    assert {"pairing.tau", "synthesis.hybrid_offset", "providers.timeout"} <= set(_FLOAT_LEAVES)
+
+
+@pytest.mark.parametrize("leaf", _FLOAT_LEAVES)
+def test_an_integer_beyond_the_float_range_is_a_usage_error(tmp_path, capsys, leaf):
+    # JSON reads an integer of any size; a float field must hold it as a finite float
+    override: dict = {}
+    *sections, key = leaf.split(".")
+    node = override
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[key] = 10**400
+    config_path, _ = make_run(tmp_path, override)
+    assert cli.main(["pair", "--config", str(config_path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {config_path}: {leaf} must be a number, got 1000")
+
+
+def test_an_integer_too_long_to_parse_is_a_usage_error(tmp_path, capsys):
+    config_path, _ = make_run(tmp_path)
+    cfg = config_path.read_text(encoding="utf-8")
+    config_path.write_text(cfg.replace("{", '{"seed": %s, ' % ("9" * 5000), 1), encoding="utf-8")
+    assert cli.main(["pair", "--config", str(config_path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {config_path}: invalid JSON: Exceeds the limit")
 
 
 @pytest.mark.parametrize(

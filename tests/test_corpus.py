@@ -23,9 +23,12 @@ def test_seed_problem_rejects_blank_fields():
         SeedProblem(id="a", question="q", answer="", difficulty=3.0)
 
 
-@pytest.mark.parametrize("bad", [True, False, "7", None, float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "bad",
+    [True, False, "7", None, float("nan"), float("inf"), pytest.param(10**400, id="10**400")],
+)
 def test_seed_problem_rejects_bad_difficulty(bad):
-    with pytest.raises(CorpusError):
+    with pytest.raises(CorpusError, match=r"^difficulty must be a number, got "):
         SeedProblem(id="a", question="q", answer="1", difficulty=bad)
 
 

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from mathsynth import jsonl
-from mathsynth.jsonl import fields, load
+from mathsynth.jsonl import check, fields, load
 
 _GOOD = {"id": "q", "score": 1.5}
 
@@ -60,6 +60,32 @@ def test_an_integer_too_long_to_parse_names_its_line(tmp_path, monkeypatch):
 def test_an_integer_stands_for_a_number(tmp_path, monkeypatch):
     rows = _load_rows(tmp_path, monkeypatch, {"id": "q", "score": 3}, {"score": 2, "id": "r"})
     assert rows == [["q", 3], ["r", 2]]
+    assert all(type(score) is float for _, score in rows)  # a number field reads as a float
+
+
+@pytest.mark.parametrize(
+    "value,kind,message",
+    [
+        (True, bool, None),
+        (1, bool, "x must be true or false, got 1"),
+        ("s", str, None),
+        (1, int, None),
+        (False, int, "x must be an integer, got False"),
+        (1.0, int, "x must be an integer, got 1.0"),
+        (10**400, int, None),
+        (1, float, None),
+        (True, float, "x must be a number, got True"),
+        (-(10**400), float, f"x must be a number, got {-(10**400)!r}"),
+        (float("nan"), float, "x must be a number, got nan"),
+    ],
+)
+def test_check_is_the_one_kind_rule(value, kind, message):
+    if message is None:
+        check(value, kind, "x")
+    else:
+        with pytest.raises(ValueError) as exc:
+            check(value, kind, "x")
+        assert str(exc.value) == message
 
 
 def test_load_raises_the_error_class_it_is_given(tmp_path, monkeypatch):
@@ -75,9 +101,9 @@ def test_load_reads_through_the_module_read_records(tmp_path, monkeypatch):
     read = []
     original = jsonl.read_records
 
-    def counting(path):
+    def counting(path, *args, **kwargs):
         read.append(path)
-        return original(path)
+        return original(path, *args, **kwargs)
 
     monkeypatch.setattr(jsonl, "read_records", counting)
     assert _load_rows(tmp_path, monkeypatch, _GOOD) == [["q", 1.5]]

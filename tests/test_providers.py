@@ -696,6 +696,20 @@ class _VectorTransport:
         return {"data": data}
 
 
+@pytest.mark.parametrize(
+    "vector",
+    [["a"], [0.0, 0.0], [1.0, float("nan")], 1.0, [[1.0, 0.0]]],
+    ids=["not-numbers", "zero", "nan", "scalar", "2-d"],
+)
+def test_a_vector_the_client_rejects_is_a_malformed_response(tmp_path, vector):
+    transport = _VectorTransport({"probe": vector})
+    client = EmbeddingClient(transport, ProviderConfig(backoff_base=0.0), ResponseCache(tmp_path))
+    with pytest.raises(ProviderError, match=r"^malformed embedding response: "):
+        client.embed(["probe"])
+    assert transport.calls == 1  # not retried
+    client.cache.close()
+
+
 def test_embedding_entries_round_trip_bitwise_through_a_fresh_cache(tmp_path):
     vectors = {
         "negative zero": [-0.0, 1.0, -0.5],

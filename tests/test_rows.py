@@ -1,5 +1,6 @@
-"""The row contract of stage inputs: a row with a missing or mistyped field is
-an error of the reading module's own class that names the file and line."""
+"""The row contract of stage inputs: a row with a missing or mistyped field,
+or a line that is not JSON or not UTF-8, is an error of the reading module's
+own class that names the file and line."""
 from __future__ import annotations
 
 import json
@@ -143,25 +144,39 @@ LOADERS = {
 }
 
 
-def _write(root: Path, files: dict[str, list[dict[str, Any]]]) -> None:
+# A line written as is, and the message it gives
+_RAW_LINES = {
+    "not-json": (b"{oops\n", "invalid JSON: Expecting property name enclosed in double quotes"),
+    "not-utf-8": (
+        b'{"note": "caf\xe9"}\n',
+        "invalid JSON: 'utf-8' codec can't decode byte 0xe9 in position 13: "
+        "invalid continuation byte",
+    ),
+}
+
+
+def _write(root: Path, files: dict[str, list[dict[str, Any] | bytes]]) -> None:
     for name, rows in files.items():
         path = root / name
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        lines = [r if isinstance(r, bytes) else json.dumps(r).encode() + b"\n" for r in rows]
+        path.write_bytes(b"".join(lines))
 
 
-@pytest.mark.parametrize("case", ["missing", "wrong-kind"])
+@pytest.mark.parametrize("case", ["missing", "wrong-kind", *_RAW_LINES])
 @pytest.mark.parametrize("name", LOADERS)
 def test_a_bad_row_names_its_file_and_line_in_the_module_error(tmp_path, name, case):
     loader = LOADERS[name]
-    rows = [dict(row) for row in loader.files[loader.file]]
+    rows: list[dict[str, Any] | bytes] = [dict(row) for row in loader.files[loader.file]]
     row = rows[loader.line - 1]
     if case == "missing":
         del row[loader.missing]
         message = f"missing field {loader.missing!r}"
-    else:
+    elif case == "wrong-kind":
         key, value, message = loader.wrong
         row[key] = value
+    else:
+        rows[loader.line - 1], message = _RAW_LINES[case]
     _write(tmp_path, {**loader.files, loader.file: rows})
     with pytest.raises(ValueError) as exc:
         loader.read(tmp_path)
