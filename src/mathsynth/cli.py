@@ -123,7 +123,10 @@ class Pipeline:
     embedding clients carry `cfg.providers`, so each stage reads its role's
     model from its client (`client.cfg.models`) and asks through one
     `complete_each` loop over the one transport, whose kept-alive connections
-    last the run; each fan-out starts and stops its own threads.
+    last the run. That loop builds requests, reads and writes the cache and
+    checks replies on the calling thread; only transport calls for cache
+    misses go to worker threads, which each `complete_each` call starts at
+    its first miss and stops before it returns.
     """
 
     def __init__(self, cfg: RunConfig, out_dir: Path, resume: bool = False):

@@ -16,16 +16,18 @@ functions read their role's model from the client they are given.
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import json
+import math
 import os
 import select
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence, TypeVar
+from typing import Any, Callable, Generator, Iterable, Sequence, TypeVar
 from urllib.parse import SplitResult, unquote, urlsplit
 
 import numpy as np
@@ -36,6 +38,11 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 RETRYABLE_STATUSES = frozenset({408, 429}) | frozenset(range(500, 600))
+
+# The longest timeout or backoff sleep, in seconds, that this platform's clocks
+# hold. `time.sleep(threading.TIMEOUT_MAX)` itself fails (its deadline is the
+# monotonic clock plus the sleep), so half of it leaves room for any uptime.
+LONGEST_WAIT = threading.TIMEOUT_MAX / 2
 
 
 class ProviderError(RuntimeError):
@@ -83,8 +90,18 @@ class ProviderConfig:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not self.timeout > 0:
             raise ValueError(f"timeout must be positive, got {self.timeout}")
+        if self.timeout > LONGEST_WAIT:
+            raise ValueError(f"timeout must be at most {LONGEST_WAIT}, got {self.timeout}")
         if self.backoff_base < 0:
             raise ValueError(f"backoff_base must be non-negative, got {self.backoff_base}")
+        # The longest sleep, backoff_base * 2**(max_retries - 2), compared by
+        # ldexp so that a huge max_retries cannot overflow.
+        retries = self.max_retries
+        if retries > 1 and self.backoff_base > math.ldexp(LONGEST_WAIT, 2 - retries):
+            raise ValueError(
+                f"backoff_base * 2**(max_retries - 2) must be at most {LONGEST_WAIT}, "
+                f"got {self.backoff_base} with max_retries {retries}"
+            )
         try:
             url = urlsplit(self.base_url)
             valid = url.scheme in ("http", "https") and bool(url.hostname) and url.port != 0
@@ -465,13 +482,12 @@ class MockTransport:
 
     def _chat(self, payload: dict[str, Any], salt: str) -> dict[str, Any]:
         text = "\n".join(m.get("content", "") for m in payload.get("messages", []))
-        scripted = self._scripted(text, payload, salt)
-        if scripted is not None:
-            content = scripted
-        else:
-            content = self._fabricate(text, self._entropy(payload, salt))
+        content = self._scripted(text, payload, salt)
+        entropy = self._entropy(payload, salt)
+        if content is None:
+            content = self._fabricate(text, entropy)
         return {
-            "id": "mock-" + self._entropy(payload, salt)[:12],
+            "id": "mock-" + entropy[:12],
             "object": "chat.completion",
             "model": payload.get("model", "mock-chat"),
             "choices": [
@@ -561,6 +577,41 @@ class ChatClient:
 
     def complete(self, request: ChatRequest) -> str:
         """The reply text; a malformed cached entry raises ProviderError naming its key."""
+        return _run_here(self._ask(request))
+
+    def complete_each(
+        self,
+        items: Sequence[T],
+        request: Callable[[T, int], ChatRequest],
+        accept: Callable[[T, int, str | ProviderError], tuple[bool, R]],
+        attempts: int,
+    ) -> list[R]:
+        """Per item, in input order: send `request(item, n)` for n = 1..attempts and pass
+        the reply text, or the ProviderError raised, to `accept(item, n, reply)`, which
+        returns (done, result); keep the first done result, else the last. Any other
+        exception propagates.
+
+        `request`, the cache reads and writes and `accept` run on the calling thread;
+        only a missed attempt's transport call, with its retries, goes to a worker,
+        at most `cfg.max_in_flight` at a time (`_fan_out`), so a warm replay starts
+        no thread."""
+
+        def attempts_of(item: T) -> _Task[R]:
+            for n in range(1, attempts + 1):
+                try:
+                    reply: str | ProviderError = yield from self._ask(request(item, n))
+                except ProviderError as exc:
+                    reply = exc
+                done, result = accept(item, n, reply)
+                if done:
+                    break
+            return result
+
+        return _fan_out(map(attempts_of, items), self.cfg.max_in_flight)
+
+    def _ask(self, request: ChatRequest) -> _Task[str]:
+        """A task (see `_fan_out`) returning the reply text: from the cache, else from
+        one transport call with its retries, whose body is then cached."""
         key = request.key()
         self.stats.bump("requests")
         if self.cache is not None:
@@ -577,36 +628,14 @@ class ChatClient:
             body = self.transport.request("/chat/completions", payload, request.cache_salt)
             return body, _extract_content(body, key)
 
+        def keep(fetched: tuple[dict[str, Any], str]) -> None:
+            if self.cache is not None:
+                self.cache.put(key, "/chat/completions", request.cache_salt, fetched[0])
+
         failure = f"chat completion failed after {self.cfg.max_retries} attempts"
-        body, content = _with_retries(attempt_once, self.cfg, self.stats, failure)
-        if self.cache is not None:
-            self.cache.put(key, "/chat/completions", request.cache_salt, body)
+        call = functools.partial(_with_retries, attempt_once, self.cfg, self.stats, failure)
+        _, content = yield call, keep
         return content
-
-    def complete_each(
-        self,
-        items: Sequence[T],
-        request: Callable[[T, int], ChatRequest],
-        accept: Callable[[T, int, str | ProviderError], tuple[bool, R]],
-        attempts: int,
-    ) -> list[R]:
-        """Per item, in input order: send `request(item, n)` for n = 1..attempts and pass
-        the reply text, or the ProviderError raised, to `accept(item, n, reply)`, which
-        returns (done, result); keep the first done result, else the last. Any other
-        exception propagates. Items fan out `cfg.max_in_flight` at a time."""
-
-        def run_one(item: T) -> R:
-            for n in range(1, attempts + 1):
-                try:
-                    reply: str | ProviderError = self.complete(request(item, n))
-                except ProviderError as exc:
-                    reply = exc
-                done, result = accept(item, n, reply)
-                if done:
-                    break
-            return result
-
-        return map_bounded(run_one, items, self.cfg.max_in_flight)
 
 
 def _with_retries(
@@ -626,7 +655,7 @@ def _with_retries(
             if not exc.retryable or attempt == cfg.max_retries:
                 raise ProviderError(f"{failure}: {exc}") from exc
             stats.bump("retries")
-            time.sleep(cfg.backoff_base * (2 ** (attempt - 1)))
+            time.sleep(math.ldexp(cfg.backoff_base, attempt - 1))  # 2**1024 is no float
 
 
 def _extract_content(body: dict[str, Any], key: str) -> str:
@@ -764,6 +793,84 @@ def _mark_worker() -> None:
     _in_worker.flag = True
 
 
+# A task runs on the calling thread and yields (call, keep) pairs: see _fan_out.
+_Task = Generator[tuple[Callable[[], Any], Callable[[Any], None]], Any, R]
+
+
+def _run_here(task: _Task[R]) -> R:
+    """Run a task to its end, making each call on the calling thread."""
+    value, error = None, None
+    while True:
+        try:
+            call, keep = task.send(value) if error is None else task.throw(error)
+        except StopIteration as stop:
+            return stop.value
+        try:
+            value, error = call(), None
+        except Exception as exc:
+            value, error = None, exc
+        else:
+            keep(value)
+
+
+def _fan_out(tasks: Iterable[_Task[R]], max_in_flight: int) -> list[R]:
+    """Run every task on the calling thread; return what each returns, in input order.
+
+    A task is a generator. Each `(call, keep)` it yields sends `call()` to a
+    worker thread, at most `max_in_flight` at a time. As each call finishes,
+    `keep(result)` runs on the calling thread and the result goes back into
+    the task (a call's exception is thrown into it); then new tasks fill the
+    free slots. With `max_in_flight` 1 the calling thread makes every call.
+    Worker threads start at the first call and stop before this returns. The
+    first exception a task raises propagates once the calls in flight have
+    finished and been kept; tasks not yet started are dropped. Called from a
+    worker thread this raises RuntimeError: it would run threads beyond the bound.
+    """
+    if getattr(_in_worker, "flag", False):
+        raise RuntimeError("map_bounded or complete_each called from a pool worker thread")
+    if max_in_flight == 1:
+        return [_run_here(task) for task in tasks]
+    results: list[Any] = []
+    running: dict[Future[Any], tuple[int, _Task[R], Callable[[Any], None]]] = {}
+    executor = ThreadPoolExecutor(max_in_flight, initializer=_mark_worker)
+
+    def resume(
+        index: int, task: _Task[R], value: Any = None, error: BaseException | None = None
+    ) -> None:
+        try:
+            call, keep = task.send(value) if error is None else task.throw(error)
+        except StopIteration as stop:
+            results[index] = stop.value
+        else:
+            running[executor.submit(call)] = (index, task, keep)
+
+    pending = enumerate(tasks)
+    try:
+        while True:
+            while len(running) < max_in_flight and (started := next(pending, None)):
+                results.append(None)
+                resume(*started)
+            if not running:
+                return results
+            done = wait(running, return_when=FIRST_COMPLETED).done
+            for future in [f for f in running if f in done]:  # in the order they were sent
+                index, task, keep = running.pop(future)
+                error = future.exception()
+                if error is None:
+                    value = future.result()
+                    keep(value)
+                    resume(index, task, value)
+                else:
+                    resume(index, task, error=error)
+    except BaseException:
+        for future, (_, _, keep) in running.items():  # a reply already paid for is kept
+            if future.exception() is None:
+                keep(future.result())
+        raise
+    finally:
+        executor.shutdown(cancel_futures=True)
+
+
 def map_bounded(
     fn: Callable[[T], R], items: Iterable[T], max_in_flight: int
 ) -> list[R]:
@@ -771,17 +878,17 @@ def map_bounded(
 
     Results come back in input order; the first exception propagates after
     in-flight work drains and the queued items are dropped. The calls run on
-    threads started for this call and stopped before it returns; what lasts
+    threads started for this call and stopped before it returns, or on the
+    calling thread when max_in_flight is 1 (see `_fan_out`); what lasts
     between calls is the transport's idle connections. Calling it from one
-    of those threads raises RuntimeError: a nested call would run threads of
-    its own beyond the max_in_flight bound.
+    of those threads raises RuntimeError.
     """
-    if getattr(_in_worker, "flag", False):
-        raise RuntimeError("map_bounded called from a pool worker thread")
-    if max_in_flight == 1:
-        return [fn(item) for item in items]
-    executor = ThreadPoolExecutor(max_in_flight, initializer=_mark_worker)
-    try:
-        return list(executor.map(fn, items))
-    finally:
-        executor.shutdown(cancel_futures=True)
+
+    def one_call(item: T) -> _Task[R]:
+        return (yield functools.partial(fn, item), _discard)
+
+    return _fan_out(map(one_call, items), max_in_flight)
+
+
+def _discard(result: Any) -> None:
+    pass

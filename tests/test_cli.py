@@ -124,6 +124,16 @@ def test_non_object_config_section_is_usage_error(tmp_path, capsys):
             {"providers": {"backoff_base": -0.5}},
             "providers.backoff_base must be non-negative, got -0.5",
         ),
+        # too long for the platform's clocks: socket.settimeout and time.sleep overflow
+        ({"providers": {"timeout": 1e10}}, "providers.timeout must be at most"),
+        (
+            {"providers": {"backoff_base": 1e10}},
+            "providers.backoff_base * 2**(max_retries - 2) must be at most",
+        ),
+        (
+            {"providers": {"backoff_base": 0.5, "max_retries": 10**6}},
+            "providers.backoff_base * 2**(max_retries - 2) must be at most",
+        ),
     ],
 )
 def test_invalid_values_are_usage_errors(tmp_path, capsys, overrides, fragment):

@@ -21,6 +21,7 @@ from conftest import make_chat
 from test_cli import make_run
 from mathsynth.pairing import EmbeddingVector, cosine_similarity
 from mathsynth.providers import (
+    LONGEST_WAIT,
     ChatClient,
     ChatRequest,
     EmbeddingClient,
@@ -162,6 +163,22 @@ def test_malformed_body_is_retryable():
     with pytest.raises(ProviderError):
         client.complete(_req())
     assert transport.calls == 2
+
+
+def test_zero_backoff_outlasts_a_float_exponent():
+    # 2**1024 is no float: 0.0 * 2**(attempt - 1) would overflow at attempt 1025
+    class OverloadedTransport:
+        calls = 0
+
+        def request(self, path, payload, salt=""):
+            self.calls += 1
+            raise TransportError("overloaded", retryable=True, status=503)
+
+    transport = OverloadedTransport()
+    client = ChatClient(transport, ProviderConfig(max_retries=1100, backoff_base=0.0))
+    with pytest.raises(ProviderError, match="overloaded"):
+        client.complete(_req())
+    assert transport.calls == 1100
 
 
 def test_failed_responses_are_not_cached(tmp_path):
@@ -523,6 +540,14 @@ def test_http_read_timeout_is_retryable_and_the_next_call_reconnects(serve):
     assert info.value.retryable
     assert transport.request("/chat/completions", {"n": 2}) == json.loads(_CHAT_OK)
     assert server.connections == 2
+
+
+def test_http_request_under_the_longest_allowed_timeout(serve):
+    server = serve()
+    transport = _connect(server, timeout=LONGEST_WAIT)
+    assert transport.request("/chat/completions", {"n": 1}) == json.loads(_CHAT_OK)
+    with pytest.raises(ValueError, match="timeout must be at most"):
+        ProviderConfig(timeout=LONGEST_WAIT * 1.01)
 
 
 def test_http_body_cut_short_is_retryable_and_the_next_call_reconnects(serve):
@@ -954,6 +979,94 @@ def test_complete_each_propagates_any_other_exception():
     client, _ = make_chat(script={"item": _reply_naming_its_salt}, max_in_flight=2)
     with pytest.raises(ValueError, match="bad reply"):
         client.complete_each(range(6), _ask, accept, 2)
+
+
+def _second_try_for_odd_items(item, attempt, reply):
+    return item % 2 == 0 or attempt == 2, reply
+
+
+@pytest.mark.parametrize("max_in_flight", [1, 4])
+def test_complete_each_asks_caches_and_accepts_on_the_calling_thread(tmp_path, max_in_flight):
+    client, _ = make_chat(
+        script={"item": _reply_naming_its_salt},
+        cache_dir=tmp_path,
+        latency=0.005,
+        max_in_flight=max_in_flight,
+    )
+    here = threading.get_ident()
+    seen = {"request": set(), "get": set(), "put": set(), "accept": set(), "transport": set()}
+
+    def on(step, fn):
+        def recorded(*args):
+            seen[step].add(threading.get_ident())
+            return fn(*args)
+
+        return recorded
+
+    client.cache.get, client.cache.put = on("get", client.cache.get), on("put", client.cache.put)
+    client.transport.request = on("transport", client.transport.request)
+    results = client.complete_each(
+        range(12), on("request", _ask), on("accept", _second_try_for_odd_items), 2
+    )
+    assert results == [f"reply to {i}:{1 + i % 2}" for i in range(12)]
+    for step in ("request", "get", "put", "accept"):
+        assert seen[step] == {here}, step
+    assert (here in seen["transport"]) == (max_in_flight == 1)
+
+
+def test_complete_each_bounds_calls_in_flight_and_sends_each_items_attempts_in_order():
+    sent = []
+    lock = threading.Lock()
+
+    def record(payload, salt):
+        with lock:
+            sent.append(salt)
+        return f"reply to {salt}"
+
+    client, transport = make_chat(script={"item": record}, latency=0.005, max_in_flight=4)
+    results = client.complete_each(range(16), _ask, _second_try_for_odd_items, 2)
+    assert results == [f"reply to {i}:{1 + i % 2}" for i in range(16)]
+    assert 1 < transport.max_concurrent <= 4
+    for i in range(16):
+        assert [s for s in sent if s.split(":")[0] == str(i)] == [f"{i}:1", f"{i}:2"][: 1 + i % 2]
+
+
+def test_complete_each_over_a_warm_cache_starts_no_thread(tmp_path, monkeypatch):
+    script = {"item": _reply_naming_its_salt}
+    cold, _ = make_chat(script=script, cache_dir=tmp_path, max_in_flight=4)
+    expected = cold.complete_each(range(12), _ask, _second_try_for_odd_items, 2)
+    cold.cache.close()
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+    warm, transport = make_chat(script=script, cache_dir=tmp_path, max_in_flight=4)
+    try:
+        assert warm.complete_each(range(12), _ask, _second_try_for_odd_items, 2) == expected
+    finally:
+        warm.cache.close()
+    assert transport.calls == 0 and started == []
+
+
+def test_complete_each_caches_a_reply_in_flight_when_accept_raises(tmp_path):
+    accepting = threading.Event()
+
+    def slow(payload, salt):
+        accepting.wait(5)  # still in flight when accept raises
+        return None
+
+    client, transport = make_chat(
+        script={"item slow": slow}, cache_dir=tmp_path, max_in_flight=4
+    )
+
+    def accept(item, attempt, reply):
+        accepting.set()
+        raise ValueError("bad reply")
+
+    with pytest.raises(ValueError, match="bad reply"):
+        client.complete_each(["fast", "slow"], _ask, accept, 1)
+    client.cache.close()
+    assert transport.calls == 2
+    assert ResponseCache(tmp_path).get(_ask("slow", 1).key()) is not None
 
 
 def test_provider_stats_counts():
