@@ -6,8 +6,10 @@ directory itself is the pipeline state: pair -> generate -> verify -> solve
 annotation loop and stats for dataset counts. run-all chains the automated
 stages. Given the same config, seed, and cache, every command rewrites
 byte-identical artifacts; wall-clock run reports live in reports/ and are
-excluded from that guarantee. `COMMAND_TABLE` lists the commands; each
-`cmd_*` hands its per-tag body to the stage driver `_each_tag`.
+excluded from that guarantee. `COMMAND_TABLE` lists the commands, and
+`TagPaths.files` declares, once, the files each one reads and writes for a
+tag. Each `cmd_*` hands its name and per-tag body to the stage driver
+`_each_tag`, which checks the inputs and applies `--resume` from those files.
 """
 from __future__ import annotations
 
@@ -98,6 +100,31 @@ class TagPaths:
     def verified_file(self, category: str) -> Path:
         return self.verified / f"{category}.jsonl"
 
+    def files(self, cfg: RunConfig) -> dict[str, tuple[list[Path], list[Path]]]:
+        """Each command's (inputs, outputs) for this tag, in `COMMAND_TABLE` order.
+
+        Inputs are listed in the order they are checked. review-import, which
+        rewrites verify's files, and curriculum and stats, which write nothing
+        a later command reads, declare no outputs, so `--resume` never skips them.
+        """
+        templates = cfg.synthesis.templates
+        generated = [*map(self.generated_file, templates), self.generated_file("original")]
+        verified = [*map(self.verified_file, templates)]
+        original = self.verified_file("original")
+        graded = [self.solutions, *verified, original]
+        scores = [self.scores] if cfg.curriculum.use_scores else []
+        return {
+            "pair": ([], [self.pairs]),
+            "generate": ([self.pairs], [*generated, *map(self.skips_file, templates)]),
+            "verify": (generated, [*verified, original, self.verdicts, self.verify_errors]),
+            "review-export": (verified, [self.review_batch]),
+            "review-import": ([self.review_batch, *verified], []),
+            "solve": (verified, [self.solutions, self.gate_reports]),
+            "score": (graded, [self.scores, self.scores_missing]),
+            "curriculum": ([*scores, *graded], []),
+            "stats": (generated, []),
+        }
+
 
 def _load_corpora(cfg: RunConfig) -> dict[str, Corpus]:
     """Parse every seed corpus, keyed by tag. A blended curriculum keys items
@@ -160,29 +187,29 @@ class Pipeline:
             self.transport.close()
 
 
-def _require(path: Path, producer: str) -> None:
-    if not path.exists():
-        raise PrerequisiteError(f"missing artifact {path}; run '{producer}' first")
-
-
 def _each_tag(
-    pipe: Pipeline,
-    run: Callable[[TagPaths, Corpus], tuple[int, Any]],
-    outputs: Callable[[TagPaths], list[Path]] | None = None,
+    pipe: Pipeline, command: str, run: Callable[[TagPaths, Corpus], tuple[int, Any]]
 ) -> dict[str, Any]:
     """The stage driver: `run(paths, corpus)` returns each tag's (failures, detail).
 
-    `outputs(paths)` lists every file the stage writes for a tag; under
-    `--resume` the tag is skipped when all of them exist. A stage without
-    `outputs` never skips.
+    The command's files for a tag are those `TagPaths.files` declares. Under
+    `--resume` the tag is skipped when it declares outputs and all of them
+    exist. Otherwise every input must exist before `run` starts; a missing
+    one names the first command that declares it as an output.
     """
     failures = 0
     details: dict[str, Any] = {}
     for tag, corpus in pipe.corpora.items():
         paths = TagPaths(pipe.out, tag)
-        if pipe.resume and outputs and all(p.exists() for p in outputs(paths)):
+        files = paths.files(pipe.cfg)
+        inputs, outputs = files[command]
+        if pipe.resume and outputs and all(p.exists() for p in outputs):
             details[tag] = {"skipped": True}
             continue
+        for path in inputs:
+            if not path.exists():
+                producer = next(name for name, (_, made) in files.items() if path in made)
+                raise PrerequisiteError(f"missing artifact {path}; run '{producer}' first")
         tag_failures, details[tag] = run(paths, corpus)
         failures += tag_failures
     return {"failures": failures, "details": details}
@@ -192,9 +219,7 @@ def _verified_questions(pipe: Pipeline, paths: TagPaths) -> list[SynthesizedQues
     """Every question, of any status, in the enabled templates' verified files."""
     questions: list[SynthesizedQuestion] = []
     for template in pipe.cfg.synthesis.templates:
-        source = paths.verified_file(template)
-        _require(source, "verify")
-        questions.extend(load_questions(source))
+        questions.extend(load_questions(paths.verified_file(template)))
     return questions
 
 
@@ -212,14 +237,13 @@ def cmd_pair(pipe: Pipeline) -> dict[str, Any]:
             "paired_questions": len({qid for p in pairs for qid in (p.low.id, p.high.id)}),
         }
 
-    return _each_tag(pipe, run, lambda paths: [paths.pairs])
+    return _each_tag(pipe, "pair", run)
 
 
 def cmd_generate(pipe: Pipeline) -> dict[str, Any]:
     templates = pipe.cfg.synthesis.templates
 
     def run(paths: TagPaths, corpus: Corpus) -> tuple[int, Any]:
-        _require(paths.pairs, "pair")
         pairs = load_pairs(paths.pairs, corpus)
         failures = 0
         detail: dict[str, Any] = {}
@@ -238,15 +262,7 @@ def cmd_generate(pipe: Pipeline) -> dict[str, Any]:
         detail["original"] = {"generated": len(originals)}
         return failures, detail
 
-    return _each_tag(
-        pipe,
-        run,
-        lambda paths: [
-            *(paths.generated_file(t) for t in templates),
-            *(paths.skips_file(t) for t in templates),
-            paths.generated_file("original"),
-        ],
-    )
+    return _each_tag(pipe, "generate", run)
 
 
 def cmd_verify(pipe: Pipeline) -> dict[str, Any]:
@@ -257,18 +273,14 @@ def cmd_verify(pipe: Pipeline) -> dict[str, Any]:
         errors: list[tuple[str, str]] = []
         detail: dict[str, Any] = {}
         for template in templates:
-            source = paths.generated_file(template)
-            _require(source, "generate")
-            outcome = verify_dataset(load_questions(source), pipe.chat)
+            outcome = verify_dataset(load_questions(paths.generated_file(template)), pipe.chat)
             save_questions(outcome.questions, paths.verified_file(template))
             verdicts.extend(outcome.verdicts)
             errors.extend(outcome.errors)
             detail[template] = {s: sum(q.status == s for q in outcome.questions) for s in STATUSES}
-        original_source = paths.generated_file("original")
-        _require(original_source, "generate")
         jsonl.write_records(
             paths.verified_file("original"),
-            (record for _, record in jsonl.read_records(original_source)),
+            (record for _, record in jsonl.read_records(paths.generated_file("original"))),
         )
         save_verdicts(sorted(verdicts, key=lambda v: v.question_id), paths.verdicts)
         jsonl.write_records(
@@ -277,16 +289,7 @@ def cmd_verify(pipe: Pipeline) -> dict[str, Any]:
         )
         return len(errors), detail
 
-    return _each_tag(
-        pipe,
-        run,
-        lambda paths: [
-            *(paths.verified_file(t) for t in templates),
-            paths.verified_file("original"),
-            paths.verdicts,
-            paths.verify_errors,
-        ],
-    )
+    return _each_tag(pipe, "verify", run)
 
 
 def cmd_review_export(pipe: Pipeline) -> dict[str, Any]:
@@ -300,12 +303,11 @@ def cmd_review_export(pipe: Pipeline) -> dict[str, Any]:
         export_review_batch(batch, texts, paths.review_batch)
         return 0, {"population": batch.population, "sampled": len(batch.items)}
 
-    return _each_tag(pipe, run)
+    return _each_tag(pipe, "review-export", run)
 
 
 def cmd_review_import(pipe: Pipeline) -> dict[str, Any]:
     def run(paths: TagPaths, corpus: Corpus) -> tuple[int, Any]:
-        _require(paths.review_batch, "review-export")
         batch = import_review_batch(paths.review_batch)
         updated = apply_review(batch, _verified_questions(pipe, paths))
         for template in pipe.cfg.synthesis.templates:
@@ -315,7 +317,7 @@ def cmd_review_import(pipe: Pipeline) -> dict[str, Any]:
         rejected = sum(1 for verdict, _ in batch.verdicts.values() if verdict == "reject")
         return 0, {"annotated": len(batch.verdicts), "rejected": rejected}
 
-    return _each_tag(pipe, run)
+    return _each_tag(pipe, "review-import", run)
 
 
 def cmd_solve(pipe: Pipeline) -> dict[str, Any]:
@@ -330,17 +332,13 @@ def cmd_solve(pipe: Pipeline) -> dict[str, Any]:
         failed = sum(1 for r in records if r.status == "failed")
         return failed, {"solved": len(records) - failed, "failed": failed}
 
-    return _each_tag(pipe, run, lambda paths: [paths.solutions, paths.gate_reports])
+    return _each_tag(pipe, "solve", run)
 
 
 def _graded_items(pipe: Pipeline, paths: TagPaths, use_scores: bool) -> list[GradedItem]:
     """Assemble training items: solver output for generated questions, the
     official answer for originals. With `use_scores`, scores override nominal difficulty."""
-    scores: dict[str, float] = {}
-    if use_scores:
-        _require(paths.scores, "score")
-        scores = load_scores(paths.scores)
-    _require(paths.solutions, "solve")
+    scores = load_scores(paths.scores) if use_scores else {}
 
     def solution(r: dict[str, Any]) -> list[Any]:
         qid, text, status = row = jsonl.fields(r, question_id=str, solution=str, status=str)
@@ -361,8 +359,6 @@ def _graded_items(pipe: Pipeline, paths: TagPaths, use_scores: bool) -> list[Gra
         for q in _verified_questions(pipe, paths)
         if q.status == "verified" and q.id in accepted
     ]
-    original_source = paths.verified_file("original")
-    _require(original_source, "verify")
 
     def original(r: dict[str, Any]) -> GradedItem:
         qid, question, answer, nominal = jsonl.fields(
@@ -371,7 +367,7 @@ def _graded_items(pipe: Pipeline, paths: TagPaths, use_scores: bool) -> list[Gra
         label = f"{paths.tag}/original"
         return GradedItem(qid, question, answer, label, scores.get(qid, nominal))
 
-    return items + jsonl.load(original_source, original, CurriculumError)
+    return items + jsonl.load(paths.verified_file("original"), original, CurriculumError)
 
 
 def cmd_score(pipe: Pipeline) -> dict[str, Any]:
@@ -385,7 +381,7 @@ def cmd_score(pipe: Pipeline) -> dict[str, Any]:
         )
         return len(missing), {"scored": len(scores), "missing": len(missing)}
 
-    return _each_tag(pipe, run, lambda paths: [paths.scores, paths.scores_missing])
+    return _each_tag(pipe, "score", run)
 
 
 def cmd_curriculum(pipe: Pipeline) -> dict[str, Any]:
@@ -407,7 +403,7 @@ def cmd_curriculum(pipe: Pipeline) -> dict[str, Any]:
         plan = build_pure_curriculum(items, allow_empty=ccfg.allow_empty)
         return 0, export(plan, paths.curriculum)
 
-    result = _each_tag(pipe, run)
+    result = _each_tag(pipe, "curriculum", run)
     if ccfg.blend:
         plan = build_blended_curriculum(tag_items, grouping=ccfg.grouping)
         blended_dir = pipe.out / "artifacts" / "blended" / "curriculum"
@@ -421,13 +417,11 @@ def cmd_stats(pipe: Pipeline) -> dict[str, Any]:
     def run(paths: TagPaths, corpus: Corpus) -> tuple[int, Any]:
         counts = dict.fromkeys(CATEGORIES, 0)
         for category in (*pipe.cfg.synthesis.templates, "original"):
-            source = paths.generated_file(category)
-            _require(source, "generate")
-            counts[category] = sum(1 for _ in jsonl.read_records(source))
+            counts[category] = sum(1 for _ in jsonl.read_records(paths.generated_file(category)))
         counts["total"] = sum(counts.values())
         return 0, counts
 
-    result = _each_tag(pipe, run)
+    result = _each_tag(pipe, "stats", run)
     rows = list(result["details"].items())
     columns = (*CATEGORIES, "total")
     if len(rows) > 1:

@@ -95,6 +95,8 @@ class SynthesisConfig:
                 raise SynthesisError(
                     f"templates must come from {GENERATION_TEMPLATES}, got {template!r}"
                 )
+        if len(set(self.templates)) != len(self.templates):
+            raise SynthesisError(f"templates must not repeat, got {list(self.templates)}")
         if self.hybrid_offset < 0:
             raise SynthesisError(f"hybrid_offset must be non-negative, got {self.hybrid_offset}")
         if not 0.0 <= self.temperature <= 2.0:

@@ -17,8 +17,9 @@ import pytest
 
 import mathsynth.cli as cli
 from conftest import topic_pair_corpus, write_corpus_file
-from mathsynth.config import RunConfig
+from mathsynth.config import CorpusEntry, CurriculumConfig, RunConfig
 from mathsynth.providers import MockTransport, cache_key
+from mathsynth.synthesis import SynthesisConfig
 
 
 def merged(base, override):
@@ -133,6 +134,10 @@ def test_non_object_config_section_is_usage_error(tmp_path, capsys):
         (
             {"providers": {"backoff_base": 0.5, "max_retries": 10**6}},
             "providers.backoff_base * 2**(max_retries - 2) must be at most",
+        ),
+        (
+            {"synthesis": {"templates": ["hybrid", "hybrid"]}},
+            "synthesis.templates must not repeat, got ['hybrid', 'hybrid']",
         ),
     ],
 )
@@ -252,6 +257,46 @@ def test_out_of_order_command_names_the_missing_artifact(tmp_path, capsys):
 
     code = cli.main(["stats", "--config", str(config_path)])
     assert code == cli.EXIT_FATAL
+
+
+@pytest.mark.parametrize("use_scores", [False, True])
+@pytest.mark.parametrize(
+    "templates", [("hybrid",), ("decomposed",), ("hybrid", "decomposed"), ("decomposed", "hybrid")]
+)
+def test_every_declared_input_is_an_earlier_commands_output(tmp_path, use_scores, templates):
+    # the producer named for a missing input is the first command declaring it an output
+    seeds = write_corpus_file(tmp_path / "seeds.jsonl", topic_pair_corpus(n_topics=1))
+    cfg = RunConfig(
+        seed_corpora=(CorpusEntry(str(seeds)),),
+        synthesis=SynthesisConfig(templates=templates),
+        curriculum=CurriculumConfig(use_scores=use_scores),
+    )
+    files = cli.TagPaths(tmp_path, "seeds").files(cfg)
+    assert list(files) == [c.name for c in cli.COMMAND_TABLE if c.name != "run-all"]
+    produced: set[Path] = set()
+    for name, (inputs, outputs) in files.items():
+        assert set(inputs) <= produced, name
+        produced.update(outputs)
+
+
+def test_a_missing_input_fails_the_tag_before_any_work(tmp_path, monkeypatch, capsys):
+    config_path, out = make_run(tmp_path, n_topics=2)
+    for step in ("pair", "generate"):
+        assert cli.main([step, "--config", str(config_path)]) == cli.EXIT_OK
+    missing = out / "artifacts" / "toy" / "generated" / "decomposed.jsonl"
+    missing.unlink()
+    transports = []
+
+    def counting(**kwargs):
+        transports.append(MockTransport(**kwargs))
+        return transports[-1]
+
+    monkeypatch.setattr(cli, "MockTransport", counting)
+    capsys.readouterr()
+    assert cli.main(["verify", "--config", str(config_path)]) == cli.EXIT_FATAL
+    assert capsys.readouterr().err == f"error: missing artifact {missing}; run 'generate' first\n"
+    assert not (out / "artifacts" / "toy" / "verified").exists()
+    assert sum(t.calls for t in transports) == 0
 
 
 # --- full pipeline ----------------------------------------------------------------
@@ -594,6 +639,26 @@ def test_review_export_import_round_trip(tmp_path):
         for row in read_jsonl(out / "artifacts" / "toy" / "curriculum" / f"stage{i}.jsonl")
     ]
     assert victim not in staged_ids
+
+
+def test_resume_keeps_an_annotated_review_batch(tmp_path):
+    config_path, out = make_run(tmp_path, n_topics=2)
+    assert cli.main(["run-all", "--config", str(config_path)]) == cli.EXIT_OK
+    assert cli.main(["review-export", "--config", str(config_path)]) == cli.EXIT_OK
+    batch_path = out / "artifacts" / "toy" / "review" / "batch.jsonl"
+    exported = batch_path.read_bytes()
+    rows = read_jsonl(batch_path)
+    rows[1]["verdict"] = "reject"
+    annotated = "".join(json.dumps(r) + "\n" for r in rows)
+    batch_path.write_text(annotated, encoding="utf-8")
+
+    assert cli.main(["review-export", "--config", str(config_path), "--resume"]) == cli.EXIT_OK
+    assert batch_path.read_text(encoding="utf-8") == annotated
+    assert read_report(out, "review-export")["details"]["toy"] == {"skipped": True}
+
+    # without --resume the batch is exported afresh
+    assert cli.main(["review-export", "--config", str(config_path)]) == cli.EXIT_OK
+    assert batch_path.read_bytes() == exported
 
 
 def test_review_import_of_a_header_without_sample_rate_exits_1_naming_the_line(tmp_path, capsys):
