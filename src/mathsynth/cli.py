@@ -148,12 +148,14 @@ class Pipeline:
 
     Each seed corpus is parsed once, when the pipeline opens. The chat and
     embedding clients carry `cfg.providers`, so each stage reads its role's
-    model from its client (`client.cfg.models`) and asks through one
-    `complete_each` loop over the one transport, whose kept-alive connections
-    last the run. That loop builds requests, reads and writes the cache and
-    checks replies on the calling thread; only transport calls for cache
-    misses go to worker threads, which each `complete_each` call starts at
-    its first miss and stops before it returns.
+    model from its client (`client.cfg.models`). Chat stages ask through
+    `complete_each` and `pair` through `embed`, one loop over the one
+    transport, whose kept-alive connections last the run. That loop builds
+    requests, reads and writes the cache and checks replies on the calling
+    thread. Only the transport calls of cache misses go to worker threads,
+    and only over `HttpTransport`, whose calls wait: each call of the loop
+    starts its threads at its first miss and stops them before it returns.
+    The `--mock` transport makes its calls on the calling thread.
     """
 
     def __init__(self, cfg: RunConfig, out_dir: Path, resume: bool = False):
@@ -194,24 +196,31 @@ def _each_tag(
 
     The command's files for a tag are those `TagPaths.files` declares. Under
     `--resume` the tag is skipped when it declares outputs and all of them
-    exist. Otherwise every input must exist before `run` starts; a missing
-    one names the first command that declares it as an output.
+    exist. Otherwise every input must exist; a missing one names the first
+    command that declares it as an output. Every tag is decided before any
+    `run` starts, so a missing input of a later tag writes nothing.
     """
-    failures = 0
-    details: dict[str, Any] = {}
-    for tag, corpus in pipe.corpora.items():
+    todo: dict[str, TagPaths | None] = {}  # None: skipped
+    for tag in pipe.corpora:
         paths = TagPaths(pipe.out, tag)
         files = paths.files(pipe.cfg)
         inputs, outputs = files[command]
         if pipe.resume and outputs and all(p.exists() for p in outputs):
-            details[tag] = {"skipped": True}
+            todo[tag] = None
             continue
         for path in inputs:
             if not path.exists():
                 producer = next(name for name, (_, made) in files.items() if path in made)
                 raise PrerequisiteError(f"missing artifact {path}; run '{producer}' first")
-        tag_failures, details[tag] = run(paths, corpus)
-        failures += tag_failures
+        todo[tag] = paths
+    failures = 0
+    details: dict[str, Any] = {}
+    for tag, paths in todo.items():
+        if paths is None:
+            details[tag] = {"skipped": True}
+        else:
+            tag_failures, details[tag] = run(paths, pipe.corpora[tag])
+            failures += tag_failures
     return {"failures": failures, "details": details}
 
 

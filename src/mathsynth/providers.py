@@ -9,6 +9,12 @@ without touching the transport.
 The salt exists so a retry of a rejected generation can carry the same wire
 payload but a distinct cache identity; HTTP transports ignore it.
 
+A transport also declares `waits`: true when its calls spend their time
+waiting (on a socket, a sleep) rather than running Python, so that calls on
+worker threads overlap; false when a call is pure in-process work, which a
+worker thread would only slow down by handing the interpreter lock back and
+forth. The clients send calls to worker threads only when it is true.
+
 A client carries its ProviderConfig, and `cfg.models` (ModelRoles) is the
 one place that names the model each pipeline role requests: the stage
 functions read their role's model from the client they are given.
@@ -284,6 +290,8 @@ class HttpTransport:
     store. `.netrc` is not read.
     """
 
+    waits = True  # on the network
+
     def __init__(self, cfg: ProviderConfig):
         self.cfg = cfg
         url = urlsplit(cfg.base_url)
@@ -427,6 +435,9 @@ class MockTransport:
     `script` maps a substring of the prompt to a canned reply: a string, an
     exception to raise, a callable `(payload, salt) -> str | None` (None: the usual
     reply), or a list of those consumed per call (last repeats). First match wins.
+
+    Its calls wait only when `latency` is positive: each then sleeps that long,
+    standing in for an endpoint's delay.
     """
 
     def __init__(
@@ -444,6 +455,10 @@ class MockTransport:
         self.max_concurrent = 0
         self._active = 0
         self._lock = threading.Lock()
+
+    @property
+    def waits(self) -> bool:
+        return self.latency > 0
 
     def request(self, path: str, payload: dict[str, Any], salt: str = "") -> dict[str, Any]:
         with self._lock:
@@ -561,8 +576,8 @@ class MockTransport:
         )
 
 
-class ChatClient:
-    """Cached, retrying chat completion client over any transport."""
+class _Client:
+    """A transport with its config, an optional response cache and call counters."""
 
     def __init__(
         self,
@@ -574,6 +589,15 @@ class ChatClient:
         self.cfg = cfg or ProviderConfig()
         self.cache = cache
         self.stats = ProviderStats()
+
+    def _run(self, tasks: Sequence[_Task[R]]) -> list[R]:
+        """`_fan_out` the tasks: their transport calls go to at most `cfg.max_in_flight`
+        worker threads when the transport `waits`, else the calling thread makes them."""
+        return _fan_out(tasks, self.cfg.max_in_flight if self.transport.waits else 1)
+
+
+class ChatClient(_Client):
+    """Cached, retrying chat completion client over any transport."""
 
     def complete(self, request: ChatRequest) -> str:
         """The reply text; a malformed cached entry raises ProviderError naming its key."""
@@ -593,8 +617,9 @@ class ChatClient:
 
         `request`, the cache reads and writes and `accept` run on the calling thread;
         only a missed attempt's transport call, with its retries, goes to a worker,
-        at most `cfg.max_in_flight` at a time (`_fan_out`), so a warm replay starts
-        no thread."""
+        at most `cfg.max_in_flight` at a time (`_fan_out`), and only when the
+        transport `waits`. So neither a warm replay nor an in-process transport
+        starts a thread."""
 
         def attempts_of(item: T) -> _Task[R]:
             for n in range(1, attempts + 1):
@@ -607,7 +632,7 @@ class ChatClient:
                     break
             return result
 
-        return _fan_out(map(attempts_of, items), self.cfg.max_in_flight)
+        return self._run([attempts_of(item) for item in items])
 
     def _ask(self, request: ChatRequest) -> _Task[str]:
         """A task (see `_fan_out`) returning the reply text: from the cache, else from
@@ -670,9 +695,13 @@ def _extract_content(body: dict[str, Any], key: str) -> str:
     return content
 
 
-class EmbeddingClient:
+class EmbeddingClient(_Client):
     """Batched client for the `cfg.models.embedder` model; one cache entry per text.
 
+    `embed` reads the cache on the calling thread and sends the texts it
+    misses in batches of `cfg.embed_batch_size`, one transport call (with its
+    retries) per batch, on the same loop as `ChatClient.complete_each`: at
+    most `cfg.max_in_flight` batches in flight when the transport `waits`.
     An entry's response is `{"f64le": <base64 of the vector's little-endian
     float64 bytes>}`, an exact round trip at under half the size of JSON
     float text. The encoding is the entry's salt, so it is part of the key:
@@ -684,17 +713,6 @@ class EmbeddingClient:
     """
 
     ENCODING = "f64le"
-
-    def __init__(
-        self,
-        transport: Any,
-        cfg: ProviderConfig | None = None,
-        cache: ResponseCache | None = None,
-    ):
-        self.transport = transport
-        self.cfg = cfg or ProviderConfig()
-        self.cache = cache
-        self.stats = ProviderStats()
 
     def _text_key(self, text: str) -> str:
         return cache_key(
@@ -716,13 +734,12 @@ class EmbeddingClient:
                     out[i] = vector
                     continue
             pending.append(i)
-        for start in range(0, len(pending), self.cfg.embed_batch_size):
-            batch = pending[start : start + self.cfg.embed_batch_size]
-            vectors = self._embed_batch([texts[i] for i in batch])
+        size = self.cfg.embed_batch_size
+        batches = [pending[start : start + size] for start in range(0, len(pending), size)]
+        fetched = self._run([self._embed_batch(batch, texts, keys) for batch in batches])
+        for batch, vectors in zip(batches, fetched):
             for i, vector in zip(batch, vectors):
                 out[i] = vector
-                if self.cache is not None:
-                    self.cache.put(keys[i], "/embeddings", self.ENCODING, _encode_vector(vector))
         vectors = [v for v in out if v is not None]
         for i, vector in enumerate(vectors):
             if vector.dim != vectors[0].dim:
@@ -732,8 +749,12 @@ class EmbeddingClient:
                 )
         return vectors
 
-    def _embed_batch(self, batch: list[str]) -> list[EmbeddingVector]:
-        payload = {"model": self.cfg.models.embedder, "input": batch}
+    def _embed_batch(
+        self, batch: list[int], texts: Sequence[str], keys: list[str]
+    ) -> _Task[list[EmbeddingVector]]:
+        """A task (see `_fan_out`) returning the vectors of `texts[i]` for i in `batch`
+        from one transport call with its retries; each is then cached, in batch order."""
+        payload = {"model": self.cfg.models.embedder, "input": [texts[i] for i in batch]}
 
         def attempt_once() -> list[EmbeddingVector]:
             body = self.transport.request("/embeddings", payload, "")
@@ -748,7 +769,14 @@ class EmbeddingClient:
             except (KeyError, TypeError, ValueError) as exc:  # a bad shape or vector: not retried
                 raise ProviderError(f"malformed embedding response: {exc!r}") from exc
 
-        return _with_retries(attempt_once, self.cfg, self.stats, "embedding request failed")
+        def keep(vectors: list[EmbeddingVector]) -> None:
+            if self.cache is not None:
+                for i, vector in zip(batch, vectors):
+                    self.cache.put(keys[i], "/embeddings", self.ENCODING, _encode_vector(vector))
+
+        failure = "embedding request failed"
+        call = functools.partial(_with_retries, attempt_once, self.cfg, self.stats, failure)
+        return (yield call, keep)
 
 
 def _encode_vector(vector: EmbeddingVector) -> dict[str, str]:
@@ -813,22 +841,24 @@ def _run_here(task: _Task[R]) -> R:
             keep(value)
 
 
-def _fan_out(tasks: Iterable[_Task[R]], max_in_flight: int) -> list[R]:
+def _fan_out(tasks: Sequence[_Task[R]], max_in_flight: int) -> list[R]:
     """Run every task on the calling thread; return what each returns, in input order.
 
     A task is a generator. Each `(call, keep)` it yields sends `call()` to a
     worker thread, at most `max_in_flight` at a time. As each call finishes,
     `keep(result)` runs on the calling thread and the result goes back into
     the task (a call's exception is thrown into it); then new tasks fill the
-    free slots. With `max_in_flight` 1 the calling thread makes every call.
+    free slots. The calling thread makes every call itself when there is at
+    most one task, which has nothing to overlap with, and with `max_in_flight`
+    1, as the clients ask when their transport does not wait (`_Client._run`).
     Worker threads start at the first call and stop before this returns. The
     first exception a task raises propagates once the calls in flight have
     finished and been kept; tasks not yet started are dropped. Called from a
     worker thread this raises RuntimeError: it would run threads beyond the bound.
     """
     if getattr(_in_worker, "flag", False):
-        raise RuntimeError("map_bounded or complete_each called from a pool worker thread")
-    if max_in_flight == 1:
+        raise RuntimeError("map_bounded, complete_each or embed called from a pool worker thread")
+    if max_in_flight == 1 or len(tasks) < 2:
         return [_run_here(task) for task in tasks]
     results: list[Any] = []
     running: dict[Future[Any], tuple[int, _Task[R], Callable[[Any], None]]] = {}
@@ -879,15 +909,15 @@ def map_bounded(
     Results come back in input order; the first exception propagates after
     in-flight work drains and the queued items are dropped. The calls run on
     threads started for this call and stopped before it returns, or on the
-    calling thread when max_in_flight is 1 (see `_fan_out`); what lasts
-    between calls is the transport's idle connections. Calling it from one
-    of those threads raises RuntimeError.
+    calling thread when max_in_flight is 1 or there is one item (see
+    `_fan_out`); what lasts between calls is the transport's idle
+    connections. Calling it from one of those threads raises RuntimeError.
     """
 
     def one_call(item: T) -> _Task[R]:
         return (yield functools.partial(fn, item), _discard)
 
-    return _fan_out(map(one_call, items), max_in_flight)
+    return _fan_out([one_call(item) for item in items], max_in_flight)
 
 
 def _discard(result: Any) -> None:

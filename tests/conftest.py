@@ -101,9 +101,9 @@ def _executor_threads() -> set[threading.Thread]:
 def no_executor_threads_left_running():
     """Fails a test that leaves a ThreadPoolExecutor worker alive that it did not find.
 
-    `complete_each` and `map_bounded` start worker threads for their transport
-    or `fn` calls, so this checks that each call stops its threads before it
-    returns, whether it succeeds or fails.
+    `complete_each` and `embed` start worker threads for the calls of a transport
+    that waits, and `map_bounded` for its `fn` calls, so this checks that each
+    call stops its threads before it returns, whether it succeeds or fails.
     """
     before = _executor_threads()
     yield

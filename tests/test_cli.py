@@ -299,6 +299,32 @@ def test_a_missing_input_fails_the_tag_before_any_work(tmp_path, monkeypatch, ca
     assert sum(t.calls for t in transports) == 0
 
 
+def test_a_missing_input_of_a_later_tag_fails_before_any_tag_runs(tmp_path, monkeypatch, capsys):
+    seeds = [
+        write_corpus_file(tmp_path / f"{tag}.jsonl", topic_pair_corpus(n_topics=2))
+        for tag in ("left", "right")
+    ]
+    config_path, out = make_run(
+        tmp_path, {"seed_corpora": [{"path": str(p), "tag": p.stem} for p in seeds]}
+    )
+    for step in ("pair", "generate"):
+        assert cli.main([step, "--config", str(config_path)]) == cli.EXIT_OK
+    missing = out / "artifacts" / "right" / "generated" / "decomposed.jsonl"
+    missing.unlink()
+    transports = []
+
+    def counting(**kwargs):
+        transports.append(MockTransport(**kwargs))
+        return transports[-1]
+
+    monkeypatch.setattr(cli, "MockTransport", counting)
+    capsys.readouterr()
+    assert cli.main(["verify", "--config", str(config_path)]) == cli.EXIT_FATAL
+    assert capsys.readouterr().err == f"error: missing artifact {missing}; run 'generate' first\n"
+    assert not (out / "artifacts" / "left" / "verified").exists()
+    assert sum(t.calls for t in transports) == 0
+
+
 # --- full pipeline ----------------------------------------------------------------
 
 
@@ -745,8 +771,11 @@ def _reject_first_attempts(payload, salt):
 
 
 def test_worker_count_does_not_change_the_output(tmp_path, monkeypatch):
+    # a latency makes the mock's calls wait, so they run on 2 and 8 workers
     monkeypatch.setattr(
-        cli, "MockTransport", lambda **kw: MockTransport(script={"": _reject_first_attempts}, **kw)
+        cli,
+        "MockTransport",
+        lambda **kw: MockTransport(script={"": _reject_first_attempts}, latency=0.001, **kw),
     )
     trees, salt_sets = [], []
     for workers in (1, 2, 8):

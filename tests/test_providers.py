@@ -152,6 +152,7 @@ def test_empty_content_retries_until_exhausted():
 
 def test_malformed_body_is_retryable():
     class BrokenTransport:
+        waits = False
         calls = 0
 
         def request(self, path, payload, salt=""):
@@ -168,6 +169,7 @@ def test_malformed_body_is_retryable():
 def test_zero_backoff_outlasts_a_float_exponent():
     # 2**1024 is no float: 0.0 * 2**(attempt - 1) would overflow at attempt 1025
     class OverloadedTransport:
+        waits = False
         calls = 0
 
         def request(self, path, payload, salt=""):
@@ -711,6 +713,8 @@ def test_embeddings_batched_ordered_and_cached(tmp_path):
 class _VectorTransport:
     """Answers /embeddings with fixed vectors per text; counts calls."""
 
+    waits = False
+
     def __init__(self, vectors: dict[str, list[float]]):
         self.vectors = vectors
         self.calls = 0
@@ -850,6 +854,7 @@ def test_embed_empty_list_is_an_error():
 
 def test_embedding_retry_then_fail():
     class FlakyTransport:
+        waits = False
         calls = 0
 
         def request(self, path, payload, salt=""):
@@ -861,6 +866,53 @@ def test_embedding_retry_then_fail():
     with pytest.raises(ProviderError):
         client.embed(["text"])
     assert transport.calls == 3
+
+
+def _cached_keys(cache: ResponseCache) -> set[str]:
+    return {line[:64] for line in cache.path.read_bytes().decode("ascii").splitlines()}
+
+
+def test_embedding_batches_overlap_within_the_bound_and_cache_as_a_serial_run(tmp_path):
+    texts = [f"embedding probe text {i}" for i in range(11)]
+    runs = {}
+    for max_in_flight in (1, 3):
+        cfg = ProviderConfig(embed_batch_size=2, max_in_flight=max_in_flight, backoff_base=0.0)
+        transport = MockTransport(latency=0.005)
+        cache = ResponseCache(tmp_path / str(max_in_flight))
+        vectors = EmbeddingClient(transport, cfg, cache).embed(texts)
+        cache.close()
+        assert [v.values.tolist() for v in vectors] == [mock_embedding(t) for t in texts]
+        assert transport.calls == 6  # batches of 2, 2, 2, 2, 2, 1
+        runs[max_in_flight] = transport.max_concurrent, _cached_keys(cache)
+    assert runs[1][0] == 1 and 1 < runs[3][0] <= 3
+    assert runs[1][1] == runs[3][1] and len(runs[3][1]) == len(texts)
+
+
+def test_embedding_retry_then_success_on_workers(tmp_path):
+    class FirstTryFails(MockTransport):
+        def __init__(self):
+            super().__init__(latency=0.001)
+            self.failed: set[str] = set()
+
+        def request(self, path, payload, salt=""):
+            first = payload["input"][0]
+            with self._lock:
+                retry, _ = first in self.failed, self.failed.add(first)
+            if not retry:
+                raise TransportError("overloaded", retryable=True, status=503)
+            return super().request(path, payload, salt)
+
+    texts = [f"embedding probe text {i}" for i in range(6)]
+    transport = FirstTryFails()
+    cfg = ProviderConfig(embed_batch_size=2, max_in_flight=3, backoff_base=0.0)
+    client = EmbeddingClient(transport, cfg, ResponseCache(tmp_path))
+    vectors = client.embed(texts)
+    client.cache.close()
+    assert [v.values.tolist() for v in vectors] == [mock_embedding(t) for t in texts]
+    assert transport.calls == 3  # the failed tries raise before MockTransport counts them
+    assert client.stats.snapshot()["transport_calls"] == 6
+    assert client.stats.snapshot()["retries"] == 3
+    assert _cached_keys(client.cache) == {client._text_key(t) for t in texts}
 
 
 # --- bounded concurrency ----------------------------------------------------
@@ -903,6 +955,12 @@ def test_map_bounded_from_a_pool_worker_is_an_error():
 
     with pytest.raises(RuntimeError, match="pool worker"):
         map_bounded(nested, range(4), 2)
+
+    def nested_embed(x: int) -> list[EmbeddingVector]:
+        return EmbeddingClient(MockTransport()).embed([f"text {x}"])
+
+    with pytest.raises(RuntimeError, match="embed called from a pool worker"):
+        map_bounded(nested_embed, range(4), 2)
 
 
 # --- the attempt loop -------------------------------------------------------
@@ -1031,6 +1089,39 @@ def test_complete_each_bounds_calls_in_flight_and_sends_each_items_attempts_in_o
         assert [s for s in sent if s.split(":")[0] == str(i)] == [f"{i}:1", f"{i}:2"][: 1 + i % 2]
 
 
+@pytest.mark.parametrize("latency", [0.0, 0.005])
+def test_complete_each_uses_workers_only_when_the_transport_waits(monkeypatch, latency):
+    script = {"item": _reply_naming_its_salt}
+    serial, _ = make_chat(script=script, max_in_flight=1, latency=latency)
+    expected = serial.complete_each(range(12), _ask, _second_try_for_odd_items, 2)
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+    client, transport = make_chat(script=script, max_in_flight=4, latency=latency)
+    assert transport.waits == (latency > 0)
+    assert client.complete_each(range(12), _ask, _second_try_for_odd_items, 2) == expected
+    assert transport.calls == 18
+    if transport.waits:
+        assert 1 < transport.max_concurrent <= 4 and 0 < len(started) <= 4
+    else:
+        assert transport.max_concurrent == 1 and started == []
+
+
+def test_a_single_task_starts_no_thread(monkeypatch):
+    # one item or one embedding batch has no other call to overlap with
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+    client, transport = make_chat(
+        script={"item": _reply_naming_its_salt}, max_in_flight=4, latency=0.001
+    )
+    assert client.complete_each([7], _ask, _second_try_for_odd_items, 2) == ["reply to 7:2"]
+    embedder = EmbeddingClient(transport, ProviderConfig(embed_batch_size=4, max_in_flight=4))
+    assert len(embedder.embed(["one", "batch", "of three"])) == 3
+    assert map_bounded(abs, [-3], 4) == [3]
+    assert transport.calls == 3 and started == []
+
+
 def test_complete_each_over_a_warm_cache_starts_no_thread(tmp_path, monkeypatch):
     script = {"item": _reply_naming_its_salt}
     cold, _ = make_chat(script=script, cache_dir=tmp_path, max_in_flight=4)
@@ -1055,7 +1146,7 @@ def test_complete_each_caches_a_reply_in_flight_when_accept_raises(tmp_path):
         return None
 
     client, transport = make_chat(
-        script={"item slow": slow}, cache_dir=tmp_path, max_in_flight=4
+        script={"item slow": slow}, cache_dir=tmp_path, max_in_flight=4, latency=0.001
     )
 
     def accept(item, attempt, reply):
