@@ -20,6 +20,11 @@ import time
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None  # type: ignore[assignment]
+
 from . import jsonl
 from .config import ConfigError, RunConfig, load_run_config
 from .corpus import Corpus, CorpusError, load_corpus
@@ -27,6 +32,7 @@ from .curriculum import (
     CurriculumError,
     CurriculumPlan,
     GradedItem,
+    StoredSolution,
     build_blended_curriculum,
     build_pure_curriculum,
     export_sft_stages,
@@ -51,7 +57,7 @@ from .quality import (
     save_verdicts,
     verify_dataset,
 )
-from .solver import save_gate_reports, save_solutions, solve_dataset
+from .solver import solve_dataset
 from .synthesis import (
     CATEGORIES,
     STATUSES,
@@ -156,6 +162,11 @@ class Pipeline:
     and only over `HttpTransport`, whose calls wait: each call of the loop
     starts its threads at its first miss and stops them before it returns.
     The `--mock` transport makes its calls on the calling thread.
+
+    `solve`, `score` and `curriculum` hold one solver reply's text at a
+    time: `solve` writes each row as its reply arrives (`solve_dataset`),
+    and the graded items of `score` and `curriculum` keep where each
+    accepted solution is stored, which the export reads back row by row.
     """
 
     def __init__(self, cfg: RunConfig, out_dir: Path, resume: bool = False):
@@ -335,33 +346,36 @@ def cmd_solve(pipe: Pipeline) -> dict[str, Any]:
             (q for q in _verified_questions(pipe, paths) if q.status == "verified"),
             key=lambda q: q.id,
         )
-        records = solve_dataset(questions, corpus.by_id(), pipe.chat, pipe.cfg.solver)
-        save_solutions(records, paths.solutions)
-        save_gate_reports(records, paths.gate_reports)
-        failed = sum(1 for r in records if r.status == "failed")
-        return failed, {"solved": len(records) - failed, "failed": failed}
+        outputs = (paths.solutions, paths.gate_reports)
+        solved, failed = solve_dataset(
+            questions, corpus.by_id(), pipe.chat, pipe.cfg.solver, *outputs
+        )
+        return failed, {"solved": solved, "failed": failed}
 
     return _each_tag(pipe, "solve", run)
 
 
 def _graded_items(pipe: Pipeline, paths: TagPaths, use_scores: bool) -> list[GradedItem]:
     """Assemble training items: solver output for generated questions, the
-    official answer for originals. With `use_scores`, scores override nominal difficulty."""
+    official answer for originals. With `use_scores`, scores override nominal difficulty.
+
+    Every solutions row is checked, but an accepted solution's text stays in
+    the file: its item keeps the row's span (`StoredSolution`)."""
     scores = load_scores(paths.scores) if use_scores else {}
 
-    def solution(r: dict[str, Any]) -> list[Any]:
-        qid, text, status = row = jsonl.fields(r, question_id=str, solution=str, status=str)
+    def solution(r: dict[str, Any]) -> tuple[str, bool]:
+        qid, text, status = jsonl.fields(r, question_id=str, solution=str, status=str)
         if status == "accepted" and not text.strip():
             raise CurriculumError(f"{qid}: accepted solution must be non-empty")
-        return row
+        return qid, status == "accepted"
 
-    rows = jsonl.load(paths.solutions, solution, CurriculumError)
-    accepted = {qid: text for qid, text, status in rows if status == "accepted"}
+    rows = jsonl.load_spans(paths.solutions, solution, CurriculumError)
+    accepted = {qid: span for span, (qid, ok) in rows if ok}
     items = [
         GradedItem(
             q.id,
             q.question,
-            accepted[q.id],
+            StoredSolution(paths.solutions, accepted[q.id]),
             f"{paths.tag}/{q.category}",
             scores.get(q.id, q.nominal_difficulty),
         )
@@ -499,10 +513,11 @@ def _run_step(pipe: Pipeline, name: str) -> dict[str, Any]:
     started = time.monotonic()
     result = fn(pipe)
     duration = time.monotonic() - started
-    jsonl.write_json(
-        pipe.out / "reports" / f"{name}.json",
-        {"command": name, **result, "duration_s": round(duration, 3)},
-    )
+    report = {"command": name, **result, "duration_s": round(duration, 3)}
+    if resource is not None:  # the process's peak so far; ru_maxrss is KiB (bytes on macOS)
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        report["peak_rss_mb"] = round(peak / (1 << 20 if sys.platform == "darwin" else 1 << 10), 2)
+    jsonl.write_json(pipe.out / "reports" / f"{name}.json", report)
     print(f"{name}: {result['failures']} failures ({duration:.2f}s)")
     return result
 

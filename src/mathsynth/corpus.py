@@ -98,7 +98,7 @@ def load_corpus(path: str | Path) -> Corpus:
     problems: list[SeedProblem] = []
     seen_ids: dict[str, int] = {}
     seen_questions: dict[str, int] = {}
-    for lineno, record in jsonl.read_records(path, CorpusError):
+    for (lineno, _, _), record in jsonl.read_records(path, CorpusError):
         try:
             problem = problem_from_record(record)
         except ValueError as exc:

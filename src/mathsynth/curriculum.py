@@ -13,7 +13,7 @@ import re
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, NamedTuple, Sequence
 
 from . import jsonl
 from .prompts import render_scoring_prompt
@@ -29,20 +29,36 @@ class CurriculumError(ValueError):
     """Invalid curriculum inputs or an impossible staging request."""
 
 
+class StoredSolution(NamedTuple):
+    """A solution left in its solutions file: the file and its row's span.
+
+    The row was checked when the span was taken; `export_sft_stages` reads
+    the text back when it writes the item.
+    """
+
+    path: Path
+    span: jsonl.Span
+
+
 @dataclass(frozen=True)
 class GradedItem:
-    """One training example with its category label and difficulty metadata."""
+    """One training example with its category label and difficulty metadata.
+
+    The solution is the text itself (an original's official answer) or, for a
+    solver's reply, where it is stored, so that a plan holds no reply's text.
+    """
 
     question_id: str
     question: str
-    solution: str
+    solution: str | StoredSolution
     category_label: str
     difficulty_score: float | None = None
 
     def __post_init__(self) -> None:
         if not self.question_id or not self.category_label:
             raise CurriculumError("question_id and category_label must be non-empty")
-        if not self.question.strip() or not self.solution.strip():
+        stored = isinstance(self.solution, StoredSolution)
+        if not self.question.strip() or not (stored or self.solution.strip()):
             raise CurriculumError(f"{self.question_id}: question and solution must be non-empty")
 
     def split_label(self) -> tuple[str, str]:
@@ -191,7 +207,7 @@ def score_difficulty(
         score = _clamp_score(value, item.question_id)
         return True, DifficultyScore(item.question_id, score, model)
 
-    results = client.complete_each(list(items), request, accept, 2)
+    results = list(client.complete_each(items, request, accept, 2))
     scores = [r for r in results if isinstance(r, DifficultyScore)]
     missing = [r for r in results if not isinstance(r, DifficultyScore)]
     return scores, missing
@@ -250,31 +266,23 @@ def build_blended_curriculum(
 def export_sft_stages(
     plan: CurriculumPlan, out_dir: str | Path, *, allow_empty: bool = False
 ) -> Path:
-    """Write stage{k}.jsonl conversation files plus manifest.json; returns the manifest path."""
+    """Write stage{k}.jsonl conversation files plus manifest.json; returns the manifest path.
+
+    A `StoredSolution` is read back from its file as its row is written, so
+    one solution text is held at a time; each solutions file is opened once
+    per export. A stored row that no longer has the item's question_id is a
+    CurriculumError naming the file and line.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    solutions = _solution_texts([item for stage in plan.stages for item in stage.items])
     manifest_stages = []
     for index, stage in enumerate(plan.stages, start=1):
         if not stage.items and not allow_empty:
             raise CurriculumError(f"stage {stage.name!r} is empty")
         filename = f"stage{index}.jsonl"
-        jsonl.write_records(
-            out / filename,
-            (
-                {
-                    "messages": [
-                        {"role": "user", "content": item.question},
-                        {"role": "assistant", "content": item.solution},
-                    ],
-                    "meta": {
-                        "question_id": item.question_id,
-                        "category_label": item.category_label,
-                        "difficulty": item.difficulty_score,
-                    },
-                }
-                for item in stage.items
-            ),
-        )
+        # map, unlike a generator, holds no row while it builds the next
+        jsonl.write_records(out / filename, map(_sft_row, stage.items, solutions))
         manifest_stages.append(
             {
                 "name": stage.name,
@@ -288,6 +296,47 @@ def export_sft_stages(
     manifest_path = out / "manifest.json"
     jsonl.write_json(manifest_path, manifest)
     return manifest_path
+
+
+def _sft_row(item: GradedItem, solution: str) -> dict[str, Any]:
+    return {
+        "messages": [
+            {"role": "user", "content": item.question},
+            {"role": "assistant", "content": solution},
+        ],
+        "meta": {
+            "question_id": item.question_id,
+            "category_label": item.category_label,
+            "difficulty": item.difficulty_score,
+        },
+    }
+
+
+def _solution_texts(items: Sequence[GradedItem]) -> Iterator[str]:
+    """Each item's solution text, in order: its own, or its stored row's."""
+    spans: dict[Path, list[jsonl.Span]] = {}
+    for item in items:
+        if isinstance(item.solution, StoredSolution):
+            spans.setdefault(item.solution.path, []).append(item.solution.span)
+    rows = {path: jsonl.read_records(path, CurriculumError, at) for path, at in spans.items()}
+    for item in items:
+        if not isinstance(item.solution, StoredSolution):
+            yield item.solution
+            continue
+        path = item.solution.path
+        (lineno, _, _), record = next(rows[path])
+        try:
+            qid, text = jsonl.fields(record, question_id=str, solution=str)
+        except ValueError as exc:
+            raise CurriculumError(f"{path}: line {lineno}: {exc}") from None
+        if qid != item.question_id:
+            raise CurriculumError(
+                f"{path}: line {lineno}: question_id {qid!r} where {item.question_id!r} "
+                "was read; the file changed"
+            )
+        del record  # see jsonl.read_records
+        yield text
+        del text
 
 
 def save_scores(scores: Sequence[DifficultyScore], path: str | Path) -> None:

@@ -33,7 +33,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Generator, Iterable, Sequence, TypeVar
+from typing import Any, Callable, Generator, Iterable, Iterator, Sequence, TypeVar
 from urllib.parse import SplitResult, unquote, urlsplit
 
 import numpy as np
@@ -590,7 +590,7 @@ class _Client:
         self.cache = cache
         self.stats = ProviderStats()
 
-    def _run(self, tasks: Sequence[_Task[R]]) -> list[R]:
+    def _run(self, tasks: Sequence[_Task[R]]) -> Iterator[R]:
         """`_fan_out` the tasks: their transport calls go to at most `cfg.max_in_flight`
         worker threads when the transport `waits`, else the calling thread makes them."""
         return _fan_out(tasks, self.cfg.max_in_flight if self.transport.waits else 1)
@@ -609,17 +609,21 @@ class ChatClient(_Client):
         request: Callable[[T, int], ChatRequest],
         accept: Callable[[T, int, str | ProviderError], tuple[bool, R]],
         attempts: int,
-    ) -> list[R]:
+    ) -> Iterator[R]:
         """Per item, in input order: send `request(item, n)` for n = 1..attempts and pass
         the reply text, or the ProviderError raised, to `accept(item, n, reply)`, which
-        returns (done, result); keep the first done result, else the last. Any other
+        returns (done, result); yield the first done result, else the last. Any other
         exception propagates.
 
-        `request`, the cache reads and writes and `accept` run on the calling thread;
-        only a missed attempt's transport call, with its retries, goes to a worker,
-        at most `cfg.max_in_flight` at a time (`_fan_out`), and only when the
-        transport `waits`. So neither a warm replay nor an in-process transport
-        starts a thread."""
+        An item's result is yielded as soon as it and every earlier item's are
+        ready, so a caller that writes each result as it comes and drops it holds
+        one reply at a time (plus those ready ahead of a slower earlier item);
+        a caller that needs them all takes `list(...)`. The work runs as the
+        iterator is consumed. `request`, the cache reads and writes and `accept`
+        run on the calling thread; only a missed attempt's transport call, with
+        its retries, goes to a worker, at most `cfg.max_in_flight` at a time
+        (`_fan_out`), and only when the transport `waits`. So neither a warm
+        replay nor an in-process transport starts a thread."""
 
         def attempts_of(item: T) -> _Task[R]:
             for n in range(1, attempts + 1):
@@ -628,9 +632,9 @@ class ChatClient(_Client):
                 except ProviderError as exc:
                     reply = exc
                 done, result = accept(item, n, reply)
-                if done:
-                    break
-            return result
+                if done or n == attempts:
+                    return result
+                del reply, result  # a rejected reply is not held through the next attempt
 
         return self._run([attempts_of(item) for item in items])
 
@@ -737,7 +741,7 @@ class EmbeddingClient(_Client):
         size = self.cfg.embed_batch_size
         batches = [pending[start : start + size] for start in range(0, len(pending), size)]
         fetched = self._run([self._embed_batch(batch, texts, keys) for batch in batches])
-        for batch, vectors in zip(batches, fetched):
+        for batch, vectors in zip(batches, fetched, strict=True):  # runs `fetched` to its end
             for i, vector in zip(batch, vectors):
                 out[i] = vector
         vectors = [v for v in out if v is not None]
@@ -833,34 +837,42 @@ def _run_here(task: _Task[R]) -> R:
             call, keep = task.send(value) if error is None else task.throw(error)
         except StopIteration as stop:
             return stop.value
+        value = error = None  # the task has them: hold no reply through the next call
         try:
-            value, error = call(), None
+            value = call()
         except Exception as exc:
-            value, error = None, exc
+            error = exc
         else:
             keep(value)
 
 
-def _fan_out(tasks: Sequence[_Task[R]], max_in_flight: int) -> list[R]:
-    """Run every task on the calling thread; return what each returns, in input order.
+def _fan_out(tasks: Sequence[_Task[R]], max_in_flight: int) -> Iterator[R]:
+    """Run every task on the calling thread; yield what each returns, in input order,
+    as soon as it and every task before it have returned.
 
     A task is a generator. Each `(call, keep)` it yields sends `call()` to a
     worker thread, at most `max_in_flight` at a time. As each call finishes,
     `keep(result)` runs on the calling thread and the result goes back into
     the task (a call's exception is thrown into it); then new tasks fill the
-    free slots. The calling thread makes every call itself when there is at
-    most one task, which has nothing to overlap with, and with `max_in_flight`
-    1, as the clients ask when their transport does not wait (`_Client._run`).
-    Worker threads start at the first call and stop before this returns. The
-    first exception a task raises propagates once the calls in flight have
-    finished and been kept; tasks not yet started are dropped. Called from a
-    worker thread this raises RuntimeError: it would run threads beyond the bound.
+    free slots. A result that is ready before an earlier one waits for it,
+    so only those results are held. The calling thread makes every call
+    itself when there is at most one task, which has nothing to overlap with,
+    and with `max_in_flight` 1, as the clients ask when their transport does
+    not wait (`_Client._run`). Worker threads start at the first call and
+    stop before the iterator ends or is closed. The first exception a task
+    raises propagates once the calls in flight have finished and been kept;
+    tasks not yet started are dropped, and so are the results not yet
+    yielded. Closing the iterator early keeps the calls in flight the same
+    way. Run from a worker thread this raises RuntimeError: it would run
+    threads beyond the bound.
     """
     if getattr(_in_worker, "flag", False):
         raise RuntimeError("map_bounded, complete_each or embed called from a pool worker thread")
     if max_in_flight == 1 or len(tasks) < 2:
-        return [_run_here(task) for task in tasks]
-    results: list[Any] = []
+        for task in tasks:
+            yield _run_here(task)
+        return
+    ready: dict[int, Any] = {}  # results not yet yielded, by input index
     running: dict[Future[Any], tuple[int, _Task[R], Callable[[Any], None]]] = {}
     executor = ThreadPoolExecutor(max_in_flight, initializer=_mark_worker)
 
@@ -870,29 +882,34 @@ def _fan_out(tasks: Sequence[_Task[R]], max_in_flight: int) -> list[R]:
         try:
             call, keep = task.send(value) if error is None else task.throw(error)
         except StopIteration as stop:
-            results[index] = stop.value
+            ready[index] = stop.value
         else:
             running[executor.submit(call)] = (index, task, keep)
 
     pending = enumerate(tasks)
+    following = 0  # the index of the next result to yield
     try:
         while True:
-            while len(running) < max_in_flight and (started := next(pending, None)):
-                results.append(None)
+            while following in ready:
+                yield ready.pop(following)
+                following += 1
+            if len(running) < max_in_flight and (started := next(pending, None)):
                 resume(*started)
+                continue
             if not running:
-                return results
+                return
             done = wait(running, return_when=FIRST_COMPLETED).done
             for future in [f for f in running if f in done]:  # in the order they were sent
                 index, task, keep = running.pop(future)
                 error = future.exception()
                 if error is None:
-                    value = future.result()
-                    keep(value)
-                    resume(index, task, value)
+                    keep(future.result())
+                    resume(index, task, future.result())
                 else:
                     resume(index, task, error=error)
-    except BaseException:
+            # a finished call's result is a whole reply: keep none through the next wait
+            del done, future
+    except BaseException:  # a task's error, or GeneratorExit when the iterator is closed
         for future, (_, _, keep) in running.items():  # a reply already paid for is kept
             if future.exception() is None:
                 keep(future.result())
@@ -917,7 +934,7 @@ def map_bounded(
     def one_call(item: T) -> _Task[R]:
         return (yield functools.partial(fn, item), _discard)
 
-    return _fan_out([one_call(item) for item in items], max_in_flight)
+    return list(_fan_out([one_call(item) for item in items], max_in_flight))
 
 
 def _discard(result: Any) -> None:

@@ -169,7 +169,7 @@ def verify_dataset(
         i: _structural_verdict(q) for i, q in enumerate(questions) if q.status == "unverified"
     }
     asked = [i for i, verdict in judged.items() if verdict is None]
-    replies = client.complete_each([questions[i] for i in asked], request, accept, 1)
+    replies = list(client.complete_each([questions[i] for i in asked], request, accept, 1))
     judged.update(zip(asked, replies))
     updated, verdicts, errors = list(questions), [], []
     for i, result in judged.items():

@@ -8,10 +8,11 @@ thresholds; `client.complete_each` regenerates failing attempts up to a bound.
 """
 from __future__ import annotations
 
+import contextlib
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -23,6 +24,8 @@ from .synthesis import SynthesizedQuestion
 
 _PUNCT = re.compile(r"([^\w\s])")
 _RUN = re.compile(b"\x01+")
+_SPACE = re.compile(r"\s")
+_CHUNK = 1 << 14  # characters the gate tokenises at a time
 _BOXED = "\\boxed{"
 
 
@@ -99,31 +102,60 @@ class NgramStats:
     max_consecutive: int
 
 
-def _ngram_stats(tokens: Sequence[str], ns: range) -> list[NgramStats]:
-    """Statistics for each n in ns, from one chain of integer-coded n-grams.
+def _token_ids(text: str, chunk: int = _CHUNK) -> np.ndarray:
+    """The id of each token of `tokenize(text)`, tokenised `chunk` characters at a time.
 
-    A token's id is the position where it first occurs, an n-gram's its rank
-    among its level's sorted codes. The n-gram at i is coded as id(its
-    (n-1)-gram prefix at i) * len(tokens) + id(token i+n-1): both ids are
-    below len(tokens), so two n-grams share a code exactly when they are
-    equal, and codes stay exact in int64 below 3e9 tokens. The last n's codes
-    are only sorted, and its distinct ones counted where neighbours differ.
+    Each piece ends just before the first whitespace character at or after
+    `chunk` characters: no token spans that cut, and lowercasing looks at no
+    context across it, so the pieces' tokens are the text's. Only one
+    piece's token strings exist at a time, beside the distinct ones that key
+    the id table.
     """
-    size = len(tokens)
+    cuts = [0]
+    while cuts[-1] < len(text):
+        space = _SPACE.search(text, cuts[-1] + chunk)
+        cuts.append(space.start() if space else len(text))
+    return _ids(tokenize(text[start:stop]) for start, stop in zip(cuts, cuts[1:]))
+
+
+def _ids(pieces: Iterable[list[str]]) -> np.ndarray:
+    """Token ids over the pieces' tokens in turn: a token's id is the position,
+    counted across pieces, where it first occurs."""
     first: dict[str, int] = {}
-    ids = np.fromiter(map(first.setdefault, tokens, range(size)), np.int64, size)
-    grams, distinct = ids, len(first)
+    parts = [np.zeros(0, np.int64)]
+    size = 0
+    for tokens in pieces:
+        ids = map(first.setdefault, tokens, range(size, size + len(tokens)))
+        parts.append(np.fromiter(ids, np.int64, len(tokens)))
+        size += len(tokens)
+    return np.concatenate(parts)
+
+
+def _ngram_stats(ids: np.ndarray, ns: range) -> list[NgramStats]:
+    """Statistics for each n in ns, from one chain of integer-coded n-grams over token ids.
+
+    Ids are below len(ids) (see `_ids`). The n-gram at i is coded as the code
+    of its (n-1)-gram prefix at i times len(ids) plus the id of token i+n-1,
+    so two n-grams share a code exactly when they are equal. Codes are used
+    as they are while the next level's stay below 2**63; before a level whose
+    codes could reach it, the codes are replaced by their ranks among the
+    distinct ones (`np.unique`), so codes stay exact for any n below 3e9
+    tokens. For the gate's 2- and 3-grams no ranking is needed below 2**21
+    tokens. A level's distinct n-grams are counted where its sorted codes differ.
+    """
+    size = len(ids)
+    grams, bound = ids, size  # every code is below bound
     stats = []
     for n in range(1, min(ns.stop, size + 1)):
         total = size - n + 1
         if n > 1:
-            grams = grams[:total] * size + ids[n - 1 :]
-            if n + 1 < ns.stop:
+            if bound * size > 1 << 63:
                 distinct_codes, grams = np.unique(grams, return_inverse=True)
-                distinct = len(distinct_codes)
-            else:  # the last n: its codes are only counted
-                distinct = 1 + int(np.count_nonzero(np.diff(np.sort(grams))))
+                bound = len(distinct_codes)
+            grams = grams[:total] * size + ids[n - 1 :]
+            bound *= size
         if n in ns:
+            distinct = 1 + int(np.count_nonzero(np.diff(np.sort(grams))))
             ratio = 1.0 - distinct / total
             stats.append(NgramStats(n, total, distinct, ratio, _longest_run(grams, n)))
     empty = dict(total=0, distinct=0, duplicate_ratio=0.0, max_consecutive=0)
@@ -148,12 +180,12 @@ def ngram_degeneracy(text: str | Sequence[str], n: int) -> NgramStats:
     chunks, scanned at every phase offset, so a phrase looping with period n
     is measured by how many times it repeats, not by overlapping-window
     coincidence. Texts shorter than n tokens score 0 on both. The distinct
-    count sorts each level's n-gram codes once; the run scan is linear.
+    count sorts the n-gram codes once; the run scan is linear.
     """
     if n < 1:
         raise SolverError("n must be positive")
-    tokens = tokenize(text) if isinstance(text, str) else list(text)
-    return _ngram_stats(tokens, range(n, n + 1))[0]
+    ids = _token_ids(text) if isinstance(text, str) else _ids([list(text)])
+    return _ngram_stats(ids, range(n, n + 1))[0]
 
 
 @dataclass(frozen=True)
@@ -188,7 +220,7 @@ def check_gates(solution_text: str, cfg: GateConfig | None = None) -> GateReport
     boxed = extract_boxed(solution_text)
     if cfg.require_boxed and boxed is None:
         failures.append("missing, empty, or unbalanced boxed answer")
-    stats = _ngram_stats(tokenize(solution_text), range(2, 4))
+    stats = _ngram_stats(_token_ids(solution_text), range(2, 4))
     limits = (cfg.max_duplicate_2gram_ratio, cfg.max_duplicate_3gram_ratio)
     for st, limit in zip(stats, limits):
         if st.duplicate_ratio > limit:
@@ -248,15 +280,24 @@ class SolutionRecord:
             "status": self.status,
         }
 
+    def gate_record(self) -> dict[str, Any]:
+        """The gate_reports.jsonl row: the attempt that counted and its gate report."""
+        return {
+            "question_id": self.question_id,
+            "attempts": self.attempts,
+            "status": self.status,
+        } | self.gate_report.to_record()
 
-def solve_dataset(
+
+def solve_each(
     questions: Sequence[SynthesizedQuestion],
     parents_by_id: dict[str, SeedProblem],
     client: ChatClient,
     cfg: GateConfig | None = None,
-) -> list[SolutionRecord]:
+) -> Iterator[SolutionRecord]:
     """Solve every question with the client's solver model, gate-check each reply,
-    and regenerate up to max_attempts; the prompt never changes.
+    and regenerate up to max_attempts; the prompt never changes. Records come
+    in input order as they are ready (`complete_each`).
 
     Attempt n carries the salt `solve:{id}:{n}`, so a regeneration is a fresh
     sample instead of a cache replay of the rejected one. Provider errors
@@ -298,19 +339,33 @@ def solve_dataset(
         answer, status = (report.final_answer, "accepted") if report.passed else ("", "failed")
         return report.passed, SolutionRecord(question.id, text, answer, attempt, status, report)
 
-    return client.complete_each(list(questions), request, accept, cfg.max_attempts)
+    return client.complete_each(questions, request, accept, cfg.max_attempts)
 
 
-def save_solutions(records: Sequence[SolutionRecord], path: str | Path) -> None:
-    jsonl.write_records(path, (r.to_record() for r in records))
+def solve_dataset(
+    questions: Sequence[SynthesizedQuestion],
+    parents_by_id: dict[str, SeedProblem],
+    client: ChatClient,
+    cfg: GateConfig,
+    solutions: str | Path,
+    gate_reports: str | Path,
+) -> tuple[int, int]:
+    """`solve_each`, writing each record's `solutions` and `gate_reports` rows as it
+    arrives, so one reply's text is held at a time; returns (solved, failed).
 
-
-def save_gate_reports(records: Sequence[SolutionRecord], path: str | Path) -> None:
-    jsonl.write_records(
-        path,
-        (
-            {"question_id": r.question_id, "attempts": r.attempts, "status": r.status}
-            | r.gate_report.to_record()
-            for r in records
-        ),
-    )
+    Both files are replaced once every row is written. On an error neither
+    is: both keep their old bytes, and the replies already received stay cached.
+    """
+    failed = 0
+    records = solve_each(questions, parents_by_id, client, cfg)
+    with (
+        contextlib.closing(records),
+        jsonl.replacing(gate_reports) as reports,
+        jsonl.replacing(solutions) as texts,
+    ):
+        for record in records:
+            texts.write(jsonl.dump_line(record.to_record()))
+            reports.write(jsonl.dump_line(record.gate_record()))
+            failed += record.status == "failed"
+            del record  # before the next reply arrives
+    return len(questions) - failed, failed

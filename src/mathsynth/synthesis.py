@@ -218,7 +218,7 @@ def synthesize_category(
         )
 
     paired = [seed for seed in seeds if seed.id in pair_of]
-    outcomes = client.complete_each(paired, request, accept, 2)
+    outcomes = list(client.complete_each(paired, request, accept, 2))
     return SynthesisResult(
         questions=tuple(o for o in outcomes if isinstance(o, SynthesizedQuestion)),
         skipped=tuple(

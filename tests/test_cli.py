@@ -4,9 +4,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import random
+import resource
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -45,6 +48,11 @@ def make_run(tmp_path: Path, overrides: dict | None = None, n_topics: int = 10):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(cfg, indent=2), encoding="utf-8")
     return config_path, tmp_path / "out"
+
+
+def peak_rss_mb() -> float:
+    """This process's peak resident set so far, in MiB (Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def read_jsonl(path: Path) -> list[dict]:
@@ -356,6 +364,7 @@ def test_run_all_produces_the_full_artifact_tree(tmp_path, capsys):
         report = json.loads((out / "reports" / f"{step}.json").read_text(encoding="utf-8"))
         assert report["failures"] == 0
         assert "duration_s" in report
+        assert 0 < report["peak_rss_mb"] <= round(peak_rss_mb(), 2)
 
 
 def test_item_failures_exit_partial(tmp_path, monkeypatch):
@@ -802,6 +811,59 @@ def test_worker_count_does_not_change_the_output(tmp_path, monkeypatch):
         | {f"solve:{qid}:{n}" for qid in generated for n in (1, 2)}
         | {f"score:{qid}:{n}" for qid in generated + originals for n in (1, 2)}
     )
+
+
+_WORDS = [f"w{i}" for i in range(5000)]
+
+
+def _long_reply(salt: str) -> str:
+    """About 150 KB of varied words that pass the gates, a pure function of the salt."""
+    return " ".join(random.Random(salt).choices(_WORDS, k=25_000)) + " \\boxed{7}"
+
+
+def _stage_peaks(tmp_path, monkeypatch, long_ids) -> dict[str, int]:
+    """tracemalloc's peak over solve, score and curriculum, each run alone after the
+    stages before them, with `long_ids` solved by `_long_reply`."""
+
+    def reply(payload, salt):
+        stage, _, rest = salt.partition(":")
+        return _long_reply(salt) if stage == "solve" and long_ids(rest.rsplit(":", 1)[0]) else None
+
+    monkeypatch.setattr(
+        cli, "MockTransport", lambda **kw: MockTransport(script={"": reply}, **kw)
+    )
+    config_path, out = make_run(tmp_path, {"curriculum": {"use_scores": True}}, n_topics=5)
+    run = ["--config", str(config_path)]
+    for step in ("pair", "generate", "verify"):
+        assert cli.main([step, *run]) == cli.EXIT_OK
+    peaks = {}
+    for step in ("solve", "score", "curriculum"):
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # scores may invert the pure order
+                assert cli.main([step, *run]) == cli.EXIT_OK
+            peaks[step] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    solutions = read_jsonl(out / "artifacts" / "toy" / "solutions" / "solutions.jsonl")
+    assert [r["status"] for r in solutions] == ["accepted"] * 20
+    assert sum(len(r["solution"]) > 100_000 for r in solutions) == sum(
+        long_ids(r["question_id"]) for r in solutions
+    )
+    return peaks
+
+
+def test_solve_score_and_curriculum_hold_one_reply_at_a_time(tmp_path, monkeypatch):
+    # 20 solved questions; 5, then all 20, get a reply of about 150 KB. A stage
+    # that held every reply would peak 15 replies higher on the second run.
+    hybrid_of_an_a_seed = lambda qid: qid.startswith("hybrid:") and qid.endswith("a")  # noqa: E731
+    five = _stage_peaks(tmp_path / "five", monkeypatch, hybrid_of_an_a_seed)
+    twenty = _stage_peaks(tmp_path / "twenty", monkeypatch, lambda qid: True)
+    reply_size = len(_long_reply("solve:hybrid:q00a:1"))
+    assert 140_000 < reply_size < 160_000
+    for step in ("solve", "score", "curriculum"):
+        assert twenty[step] - five[step] < reply_size, (step, five[step], twenty[step])
 
 
 def test_hash_seed_does_not_change_the_output(tmp_path):

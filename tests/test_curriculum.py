@@ -4,16 +4,19 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from conftest import make_chat
+from mathsynth import jsonl
 from mathsynth.curriculum import (
     CurriculumError,
     CurriculumPlan,
     DifficultyScore,
     GradedItem,
     Stage,
+    StoredSolution,
     build_blended_curriculum,
     build_pure_curriculum,
     export_sft_stages,
@@ -347,3 +350,43 @@ def test_scores_round_trip(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert '"a"' in lines[0]  # sorted by question id
     assert load_scores(path) == {"a": 9.5, "b": 4.0}
+
+
+def _stored(tmp_path, items):
+    """The items with their solutions moved to a solutions file, kept by span."""
+    path = tmp_path / "solutions.jsonl"
+    rows = [{"question_id": i.question_id, "solution": i.solution} for i in reversed(items)]
+    jsonl.write_records(path, rows)
+    spans = {record["question_id"]: span for span, record in jsonl.read_records(path)}
+    return path, [
+        dataclasses.replace(i, solution=StoredSolution(path, spans[i.question_id]))
+        for i in items
+    ]
+
+
+def test_export_reads_stored_solutions_back_opening_each_file_once(tmp_path, monkeypatch):
+    items = pure_items()
+    export_sft_stages(build_pure_curriculum(items), tmp_path / "inline")
+    path, stored = _stored(tmp_path, [i for i in items if "original" not in i.category_label])
+    stored += [i for i in items if "original" in i.category_label]  # answers stay inline
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(Path(file))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(jsonl, "open", counting_open, raising=False)
+    export_sft_stages(build_pure_curriculum(stored), tmp_path / "stored")
+    assert opened.count(path) == 1  # the other opens write the stage files
+    for name in ("stage1.jsonl", "stage2.jsonl", "stage3.jsonl", "manifest.json"):
+        inline = (tmp_path / "inline" / name).read_bytes()
+        assert (tmp_path / "stored" / name).read_bytes() == inline
+
+
+def test_export_rejects_a_stored_row_of_another_question(tmp_path):
+    path, stored = _stored(tmp_path, pure_items())
+    rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    rows[0], rows[1] = rows[1], rows[0]  # same lengths: the spans now hold each other's rows
+    path.write_text("".join(rows), encoding="utf-8")
+    with pytest.raises(CurriculumError, match=r"solutions\.jsonl: line [12]: question_id"):
+        export_sft_stages(build_pure_curriculum(stored), tmp_path / "curriculum")

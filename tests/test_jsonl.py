@@ -108,3 +108,56 @@ def test_load_reads_through_the_module_read_records(tmp_path, monkeypatch):
     monkeypatch.setattr(jsonl, "read_records", counting)
     assert _load_rows(tmp_path, monkeypatch, _GOOD) == [["q", 1.5]]
     assert read == ["rows.jsonl"]
+
+
+def _rows_then_failure():
+    yield {"id": "new", "score": 1.0}
+    yield {"id": "newer", "score": 2.0}
+    raise RuntimeError("records failed")
+
+
+@pytest.mark.parametrize(
+    "records,error",
+    [
+        (_rows_then_failure, RuntimeError),  # the records iterator raises
+        (lambda: [_GOOD, _GOOD, {"id": object()}], TypeError),  # a write raises
+    ],
+)
+def test_a_failed_write_keeps_the_old_file_and_leaves_no_tmp(tmp_path, records, error):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'{"id": "old", "score": 0.5}\n')
+    with pytest.raises(error):
+        jsonl.write_records(path, records())
+    assert path.read_bytes() == b'{"id": "old", "score": 0.5}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.jsonl"]
+
+
+def test_read_records_at_spans_reads_those_lines_in_the_order_given(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    head = '{"i": 0}\n\n{"i": 1, "t": "é"}\n'
+    path.write_text(head + '{"i": 2}\n', encoding="utf-8")
+    spans = [span for span, _ in jsonl.read_records(path)]
+    assert [span.lineno for span in spans] == [1, 3, 4]
+    assert spans[2] == (4, len(head.encode("utf-8")), len(head.encode("utf-8")) + 9)
+    picked = [spans[2], spans[0], spans[2]]
+    at = [(span, record["i"]) for span, record in jsonl.read_records(path, spans=picked)]
+    assert at == [(spans[2], 2), (spans[0], 0), (spans[2], 2)]
+
+    class RowError(ValueError):
+        pass
+
+    path.write_text('{"i": 0}\n{"i": 10}\n', encoding="utf-8")  # line 4 is gone
+    with pytest.raises(RowError, match=r"rows\.jsonl: line 4: invalid JSON"):
+        list(jsonl.read_records(path, RowError, spans=[spans[2]]))
+
+
+def test_load_spans_gives_each_built_row_its_span(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"id": "a", "score": 1}\n{"id": "b", "score": 2}\n', encoding="utf-8")
+    build = lambda record: fields(record, id=str)[0]  # noqa: E731
+    rows = list(jsonl.load_spans(path, build))
+    assert [(span.lineno, value) for span, value in rows] == [(1, "a"), (2, "b")]
+    assert [value for _, value in jsonl.read_records(path, spans=[rows[1][0]])] == [
+        {"id": "b", "score": 2}
+    ]
+    assert load(path, build) == ["a", "b"]

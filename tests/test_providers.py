@@ -978,9 +978,26 @@ def test_complete_each_keeps_input_order_with_four_workers():
     client, transport = make_chat(
         script={"item": _reply_naming_its_salt}, max_in_flight=4, latency=0.002
     )
-    results = client.complete_each(range(20), _ask, lambda i, n, reply: (True, reply), 2)
+    results = list(client.complete_each(range(20), _ask, lambda i, n, reply: (True, reply), 2))
     assert results == [f"reply to {i}:1" for i in range(20)]
     assert transport.calls == 20 and transport.max_concurrent <= 4
+
+
+def test_complete_each_yields_each_result_once_it_and_those_before_it_are_ready():
+    got_first = threading.Event()
+    waited = []
+
+    def last_waits_for_the_first(payload, salt):
+        waited.append(got_first.wait(5))
+        return f"reply to {salt}"
+
+    script = {"item 3": last_waits_for_the_first, "item": _reply_naming_its_salt}
+    client, _ = make_chat(script=script, max_in_flight=2, latency=0.001)
+    results = client.complete_each(range(4), _ask, lambda i, n, reply: (True, reply), 1)
+    assert next(results) == "reply to 0:1"  # while item 3 is still waiting
+    got_first.set()
+    assert list(results) == [f"reply to {i}:1" for i in (1, 2, 3)]
+    assert waited == [True]
 
 
 def test_complete_each_numbers_attempts_from_one_and_stops_at_the_first_done_result():
@@ -995,7 +1012,7 @@ def test_complete_each_numbers_attempts_from_one_and_stops_at_the_first_done_res
         return attempt == item, (attempt, reply)
 
     client, transport = make_chat(script={"item": _reply_naming_its_salt}, max_in_flight=1)
-    results = client.complete_each([1, 3], request, accept, 4)
+    results = list(client.complete_each([1, 3], request, accept, 4))
     assert results == [(1, "reply to 1:1"), (3, "reply to 3:3")]
     assert seen == [
         (step, item, attempt)
@@ -1008,7 +1025,8 @@ def test_complete_each_numbers_attempts_from_one_and_stops_at_the_first_done_res
 
 def test_complete_each_keeps_the_last_result_when_attempts_run_out():
     client, transport = make_chat(script={"item": _reply_naming_its_salt})
-    results = client.complete_each(["a", "b"], _ask, lambda i, n, reply: (False, reply), 3)
+    keep_last = lambda i, n, reply: (False, reply)  # noqa: E731
+    results = list(client.complete_each(["a", "b"], _ask, keep_last, 3))
     assert results == ["reply to a:3", "reply to b:3"]
     assert transport.calls == 6
 
@@ -1023,7 +1041,7 @@ def test_complete_each_hands_provider_errors_to_accept():
         replies.append(reply)
         return not isinstance(reply, ProviderError), attempt
 
-    assert client.complete_each(["a", "b"], _ask, accept, 2) == [2, 1]
+    assert list(client.complete_each(["a", "b"], _ask, accept, 2)) == [2, 1]
     assert [type(r) for r in replies] == [ProviderError, ProviderError, str]
     assert "down" in str(replies[0]) and replies[2] == "reply to b:1"
 
@@ -1036,7 +1054,7 @@ def test_complete_each_propagates_any_other_exception():
 
     client, _ = make_chat(script={"item": _reply_naming_its_salt}, max_in_flight=2)
     with pytest.raises(ValueError, match="bad reply"):
-        client.complete_each(range(6), _ask, accept, 2)
+        list(client.complete_each(range(6), _ask, accept, 2))
 
 
 def _second_try_for_odd_items(item, attempt, reply):
@@ -1063,8 +1081,10 @@ def test_complete_each_asks_caches_and_accepts_on_the_calling_thread(tmp_path, m
 
     client.cache.get, client.cache.put = on("get", client.cache.get), on("put", client.cache.put)
     client.transport.request = on("transport", client.transport.request)
-    results = client.complete_each(
-        range(12), on("request", _ask), on("accept", _second_try_for_odd_items), 2
+    results = list(
+        client.complete_each(
+            range(12), on("request", _ask), on("accept", _second_try_for_odd_items), 2
+        )
     )
     assert results == [f"reply to {i}:{1 + i % 2}" for i in range(12)]
     for step in ("request", "get", "put", "accept"):
@@ -1082,7 +1102,7 @@ def test_complete_each_bounds_calls_in_flight_and_sends_each_items_attempts_in_o
         return f"reply to {salt}"
 
     client, transport = make_chat(script={"item": record}, latency=0.005, max_in_flight=4)
-    results = client.complete_each(range(16), _ask, _second_try_for_odd_items, 2)
+    results = list(client.complete_each(range(16), _ask, _second_try_for_odd_items, 2))
     assert results == [f"reply to {i}:{1 + i % 2}" for i in range(16)]
     assert 1 < transport.max_concurrent <= 4
     for i in range(16):
@@ -1093,13 +1113,13 @@ def test_complete_each_bounds_calls_in_flight_and_sends_each_items_attempts_in_o
 def test_complete_each_uses_workers_only_when_the_transport_waits(monkeypatch, latency):
     script = {"item": _reply_naming_its_salt}
     serial, _ = make_chat(script=script, max_in_flight=1, latency=latency)
-    expected = serial.complete_each(range(12), _ask, _second_try_for_odd_items, 2)
+    expected = list(serial.complete_each(range(12), _ask, _second_try_for_odd_items, 2))
     started = []
     start = threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
     client, transport = make_chat(script=script, max_in_flight=4, latency=latency)
     assert transport.waits == (latency > 0)
-    assert client.complete_each(range(12), _ask, _second_try_for_odd_items, 2) == expected
+    assert list(client.complete_each(range(12), _ask, _second_try_for_odd_items, 2)) == expected
     assert transport.calls == 18
     if transport.waits:
         assert 1 < transport.max_concurrent <= 4 and 0 < len(started) <= 4
@@ -1115,7 +1135,7 @@ def test_a_single_task_starts_no_thread(monkeypatch):
     client, transport = make_chat(
         script={"item": _reply_naming_its_salt}, max_in_flight=4, latency=0.001
     )
-    assert client.complete_each([7], _ask, _second_try_for_odd_items, 2) == ["reply to 7:2"]
+    assert list(client.complete_each([7], _ask, _second_try_for_odd_items, 2)) == ["reply to 7:2"]
     embedder = EmbeddingClient(transport, ProviderConfig(embed_batch_size=4, max_in_flight=4))
     assert len(embedder.embed(["one", "batch", "of three"])) == 3
     assert map_bounded(abs, [-3], 4) == [3]
@@ -1125,14 +1145,14 @@ def test_a_single_task_starts_no_thread(monkeypatch):
 def test_complete_each_over_a_warm_cache_starts_no_thread(tmp_path, monkeypatch):
     script = {"item": _reply_naming_its_salt}
     cold, _ = make_chat(script=script, cache_dir=tmp_path, max_in_flight=4)
-    expected = cold.complete_each(range(12), _ask, _second_try_for_odd_items, 2)
+    expected = list(cold.complete_each(range(12), _ask, _second_try_for_odd_items, 2))
     cold.cache.close()
     started = []
     start = threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
     warm, transport = make_chat(script=script, cache_dir=tmp_path, max_in_flight=4)
     try:
-        assert warm.complete_each(range(12), _ask, _second_try_for_odd_items, 2) == expected
+        assert list(warm.complete_each(range(12), _ask, _second_try_for_odd_items, 2)) == expected
     finally:
         warm.cache.close()
     assert transport.calls == 0 and started == []
@@ -1154,10 +1174,26 @@ def test_complete_each_caches_a_reply_in_flight_when_accept_raises(tmp_path):
         raise ValueError("bad reply")
 
     with pytest.raises(ValueError, match="bad reply"):
-        client.complete_each(["fast", "slow"], _ask, accept, 1)
+        list(client.complete_each(["fast", "slow"], _ask, accept, 1))
     client.cache.close()
     assert transport.calls == 2
     assert ResponseCache(tmp_path).get(_ask("slow", 1).key()) is not None
+
+
+def test_closing_complete_each_early_keeps_the_replies_in_flight(tmp_path):
+    client, transport = make_chat(
+        script={"item": _reply_naming_its_salt}, cache_dir=tmp_path, max_in_flight=2, latency=0.02
+    )
+    results = client.complete_each(range(6), _ask, lambda i, n, reply: (True, reply), 1)
+    assert next(results) == "reply to 0:1"  # item 1 was sent with it
+    results.close()
+    client.cache.close()
+    cache = ResponseCache(tmp_path)
+    try:
+        assert [i for i in range(6) if cache.get(_ask(i, 1).key()) is not None] == [0, 1]
+    finally:
+        cache.close()
+    assert transport.calls == 2
 
 
 def test_provider_stats_counts():

@@ -1,15 +1,22 @@
 """Boxed-answer extraction, n-gram degeneracy gates, and gated solving."""
 from __future__ import annotations
 
+import functools
 import json
 import random
 import re
+import time
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mathsynth.solver as solver
 from conftest import make_chat
 from mathsynth.corpus import SeedProblem
 from mathsynth.providers import TransportError
@@ -22,9 +29,8 @@ from mathsynth.solver import (
     extract_boxed,
     ngram_degeneracy,
     render_solution_prompt,
-    save_gate_reports,
-    save_solutions,
     solve_dataset,
+    solve_each,
     tokenize,
 )
 from mathsynth.synthesis import SynthesizedQuestion
@@ -49,7 +55,8 @@ def _question(**overrides) -> SynthesizedQuestion:
 
 def _solve(question: SynthesizedQuestion, client, cfg: GateConfig | None = None) -> SolutionRecord:
     """The record of one question solved alone, with LOW and HIGH as its parents."""
-    return solve_dataset([question], {"a": LOW, "b": HIGH}, client, cfg)[0]
+    (record,) = solve_each([question], {"a": LOW, "b": HIGH}, client, cfg)
+    return record
 
 
 # --- boxed answers -----------------------------------------------------------
@@ -269,6 +276,86 @@ def test_gate_stats_match_reference_on_random_texts(text):
     assert stats == (oracle_ngram_stats(tokens, 2), oracle_ngram_stats(tokens, 3))
 
 
+def _unchunked_ids(text: str) -> np.ndarray:
+    return solver._ids([tokenize(text)])
+
+
+def _report(text: str, token_ids) -> solver.GateReport:
+    """check_gates(text) with its token ids from `token_ids`."""
+    with mock.patch.object(solver, "_token_ids", token_ids):
+        return check_gates(text)
+
+
+def _assert_chunks_change_nothing(text: str, chunk: int) -> None:
+    ids = solver._token_ids(text, chunk)
+    assert ids.dtype == np.int64 and np.array_equal(ids, _unchunked_ids(text))
+    chunked = functools.partial(solver._token_ids, chunk=chunk)
+    assert _report(text, chunked) == _report(text, _unchunked_ids)
+
+
+SEPARATED = st.lists(
+    st.tuples(
+        st.sampled_from(["x", "sum", "İ", "ΑΣ", "x1", "=", "+,", "\\boxed{2}", "", "\u0301"]),
+        st.sampled_from([" ", "", "\u3000", "\x1c", "\x85", "\n", "\xa0", ". "]),
+    ),
+    max_size=200,
+).map(lambda parts: "".join(word + sep for word, sep in parts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(SEPARATED, st.integers(1, 9))
+def test_gate_in_chunks_matches_the_whole_text_over_many_chunks(text, chunk):
+    # tiny chunks cut next to punctuation, combining marks, a final sigma and
+    # the non-ASCII separators \u3000, \x1c and \x85
+    _assert_chunks_change_nothing(text, chunk)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(), st.integers(1, 6))
+def test_gate_in_chunks_matches_the_whole_text_on_any_text(text, chunk):
+    _assert_chunks_change_nothing(text, chunk)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a.b, c!d ?e (f) g.",  # punctuation on both sides of every cut
+        "x.\u3000.y\x1c,z\x85!w",
+        "abc.def,ghi;" * 40 + "\\boxed{3}",  # no whitespace at all: one piece
+        "the answer is " * 50 + "\\boxed{4}",
+    ],
+)
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8, 13, 1 << 14])
+def test_gate_in_chunks_matches_the_whole_text_at_every_cut(text, chunk):
+    _assert_chunks_change_nothing(text, chunk)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 9])
+def test_ngram_codes_are_ranked_before_they_could_overflow(n):
+    # 3,000 tokens: 3000**6 > 2**63, so from n = 6 a level's codes must be
+    # ranked before the next level multiplies them by the token count.
+    rng = random.Random(n)
+    tokens = [str(rng.randrange(40)) for _ in range(3000)]
+    tokens[1000:1000] = ["loop", "of", "six", "tokens", "in", "it"] * 12
+    assert ngram_degeneracy(tokens, n) == oracle_ngram_stats(tokens, n)
+
+
+def test_gate_holds_under_two_mib_on_a_30k_token_reply():
+    rng = random.Random(30)
+    words = [f"w{i}" for i in range(4000)] + [",", "=", "."]
+    text = " ".join(rng.choices(words, k=30_000)) + " so \\boxed{4}"
+    assert 30_000 < len(tokenize(text)) < 31_000
+    check_gates(text)  # anything the first call sets up is not the reply's
+    tracemalloc.start()
+    try:
+        report = check_gates(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 2 << 20, f"check_gates peaked at {peak / 2**20:.2f} MiB"
+
+
 def test_ngram_stats_edge_cases():
     empty = ngram_degeneracy("one", 2)
     assert (empty.total, empty.duplicate_ratio, empty.max_consecutive) == (0, 0.0, 0)
@@ -443,7 +530,7 @@ def test_rate_limit_storms_and_empty_replies(tmp_path):
         second.question: storm,  # every call of every attempt
     }
     client, transport = make_chat(script=script, cache_dir=tmp_path, max_in_flight=2)
-    ok, down = solve_dataset([first, second], {"a": LOW, "b": HIGH}, client)
+    ok, down = solve_each([first, second], {"a": LOW, "b": HIGH}, client)
 
     assert (ok.status, ok.attempts, ok.final_answer) == ("accepted", 2, "11")
     assert (down.status, down.attempts, down.final_answer) == ("failed", 3, "")
@@ -516,22 +603,76 @@ def test_solve_dataset_and_persistence(tmp_path):
     questions = [_question(), _question(id="hybrid:b", question="How many pallets total?")]
     parents = {"a": LOW, "b": HIGH}
     client, _ = make_chat(max_in_flight=2)
-    records = solve_dataset(questions, parents, client)
+    records = list(solve_each(questions, parents, client))
     assert [r.question_id for r in records] == ["hybrid:a", "hybrid:b"]
     assert all(r.status == "accepted" for r in records)
 
-    save_solutions(records, tmp_path / "solutions.jsonl")
-    save_gate_reports(records, tmp_path / "gates.jsonl")
+    outputs = (tmp_path / "solutions.jsonl", tmp_path / "gates.jsonl")
+    assert solve_dataset(questions, parents, client, GateConfig(), *outputs) == (2, 0)
     rows = [
         json.loads(line)
         for line in (tmp_path / "solutions.jsonl").read_text(encoding="utf-8").splitlines()
     ]
+    assert rows == [r.to_record() for r in records]
     assert set(rows[0]) == {"question_id", "solution", "final_answer", "attempts", "status"}
     gate_rows = [
         json.loads(line)
         for line in (tmp_path / "gates.jsonl").read_text(encoding="utf-8").splitlines()
     ]
+    assert gate_rows == [r.gate_record() for r in records]
     assert gate_rows[0]["passed"] is True and gate_rows[0]["question_id"] == "hybrid:a"
 
     with pytest.raises(SolverError, match="unknown parent"):
-        solve_dataset(questions, {"a": LOW}, client)
+        list(solve_each(questions, {"a": LOW}, client))
+
+
+def _questions(count: int) -> list[SynthesizedQuestion]:
+    return [
+        _question(id=f"hybrid:{i}", question=f"How many parts remain on day {i}?")
+        for i in range(count)
+    ]
+
+
+def test_solve_dataset_writes_the_serial_bytes_when_replies_finish_out_of_order(tmp_path):
+    questions, finished = _questions(6), []
+
+    def first_is_slow(payload, salt):  # a per-item latency: question 0 takes longest
+        index = int(salt.split(":")[2])
+        time.sleep(0.05 if index == 0 else 0.002)
+        finished.append(index)
+        return None  # the mock's usual reply
+
+    files = {}
+    for workers in (1, 2):
+        finished.clear()
+        client, _ = make_chat(
+            script={"How many parts": first_is_slow}, latency=0.001, max_in_flight=workers
+        )
+        out = [tmp_path / str(workers) / name for name in ("solutions.jsonl", "gates.jsonl")]
+        assert solve_dataset(questions, {"a": LOW, "b": HIGH}, client, GateConfig(), *out) == (6, 0)
+        files[workers] = [path.read_bytes() for path in out]
+        assert sorted(finished) == list(range(6))
+        assert (finished == sorted(finished)) == (workers == 1)
+    assert files[1] == files[2]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_fatal_error_mid_solve_keeps_the_old_files_and_the_paid_replies(tmp_path, workers):
+    questions = _questions(6)
+    questions[4] = replace(questions[4], status="unverified")  # a SolverError at its first ask
+    out = [tmp_path / "solutions" / name for name in ("solutions.jsonl", "gates.jsonl")]
+    for path in out:
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(b'{"old": "' + path.name.encode() + b'"}\n')
+    client, _ = make_chat(cache_dir=tmp_path / "cache", latency=0.001, max_in_flight=workers)
+    with pytest.raises(SolverError, match="hybrid:4 has status 'unverified'"):
+        solve_dataset(questions, {"a": LOW, "b": HIGH}, client, GateConfig(), *out)
+    client.cache.close()
+    assert [path.read_bytes() for path in out] == [
+        b'{"old": "solutions.jsonl"}\n',
+        b'{"old": "gates.jsonl"}\n',
+    ]
+    assert sorted(p.name for p in out[0].parent.iterdir()) == ["gates.jsonl", "solutions.jsonl"]
+    log = (tmp_path / "cache" / "log").read_text(encoding="utf-8")
+    salts = {json.loads(line[65:])["salt"] for line in log.splitlines()}
+    assert salts == {f"solve:hybrid:{i}:1" for i in range(4)}  # every reply paid for
