@@ -157,11 +157,12 @@ class Pipeline:
     model from its client (`client.cfg.models`). Chat stages ask through
     `complete_each` and `pair` through `embed`, one loop over the one
     transport, whose kept-alive connections last the run. That loop builds
-    requests, reads and writes the cache and checks replies on the calling
-    thread. Only the transport calls of cache misses go to worker threads,
-    and only over `HttpTransport`, whose calls wait: each call of the loop
-    starts its threads at its first miss and stops them before it returns.
-    The `--mock` transport makes its calls on the calling thread.
+    requests, reads the cache and checks replies on the calling thread.
+    Only the calls of cache misses go to worker threads, each a transport
+    request and the cache write of its reply, and only over `HttpTransport`,
+    whose calls wait: each call of the loop starts its threads at its first
+    miss and stops them before it returns. The `--mock` transport makes its
+    calls on the calling thread.
 
     `solve`, `score` and `curriculum` hold one solver reply's text at a
     time: `solve` writes each row as its reply arrives (`solve_dataset`),

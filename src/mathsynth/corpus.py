@@ -98,11 +98,7 @@ def load_corpus(path: str | Path) -> Corpus:
     problems: list[SeedProblem] = []
     seen_ids: dict[str, int] = {}
     seen_questions: dict[str, int] = {}
-    for (lineno, _, _), record in jsonl.read_records(path, CorpusError):
-        try:
-            problem = problem_from_record(record)
-        except ValueError as exc:
-            raise CorpusError(f"{path}: line {lineno}: {exc}") from None
+    for (lineno, _, _), problem in jsonl.load_spans(path, problem_from_record, CorpusError):
         if problem.id in seen_ids:
             raise CorpusError(
                 f"{path}: line {lineno}: duplicate id {problem.id!r} "

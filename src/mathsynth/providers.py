@@ -13,7 +13,9 @@ A transport also declares `waits`: true when its calls spend their time
 waiting (on a socket, a sleep) rather than running Python, so that calls on
 worker threads overlap; false when a call is pure in-process work, which a
 worker thread would only slow down by handing the interpreter lock back and
-forth. The clients send calls to worker threads only when it is true.
+forth. The clients send calls to worker threads only when it is true. The
+call that fetches a reply also caches it, on whichever thread makes it, so a
+reply already paid for is kept however its caller ends.
 
 A client carries its ProviderConfig, and `cfg.models` (ModelRoles) is the
 one place that names the model each pipeline role requests: the stage
@@ -617,13 +619,14 @@ class ChatClient(_Client):
 
         An item's result is yielded as soon as it and every earlier item's are
         ready, so a caller that writes each result as it comes and drops it holds
-        one reply at a time (plus those ready ahead of a slower earlier item);
-        a caller that needs them all takes `list(...)`. The work runs as the
-        iterator is consumed. `request`, the cache reads and writes and `accept`
-        run on the calling thread; only a missed attempt's transport call, with
-        its retries, goes to a worker, at most `cfg.max_in_flight` at a time
-        (`_fan_out`), and only when the transport `waits`. So neither a warm
-        replay nor an in-process transport starts a thread."""
+        one reply at a time (plus a bounded few ready ahead of a slower earlier
+        item); a caller that needs them all takes `list(...)`. The work runs as
+        the iterator is consumed. `request`, the cache reads and `accept` run on
+        the calling thread; only a missed attempt's call (`_ask`: its transport
+        request with its retries, then the cache write) goes to a worker, at
+        most `cfg.max_in_flight` at a time (`_fan_out`), and only when the
+        transport `waits`. So neither a warm replay nor an in-process transport
+        starts a thread."""
 
         def attempts_of(item: T) -> _Task[R]:
             for n in range(1, attempts + 1):
@@ -640,7 +643,8 @@ class ChatClient(_Client):
 
     def _ask(self, request: ChatRequest) -> _Task[str]:
         """A task (see `_fan_out`) returning the reply text: from the cache, else from
-        one transport call with its retries, whose body is then cached."""
+        one call that makes the transport request, with its retries, and caches
+        a well-formed body before it returns the text."""
         key = request.key()
         self.stats.bump("requests")
         if self.cache is not None:
@@ -653,18 +657,15 @@ class ChatClient(_Client):
                 raise ProviderError(f"malformed chat cache entry {key}: {exc}") from exc
         payload = request.payload()
 
-        def attempt_once() -> tuple[dict[str, Any], str]:
+        def attempt_once() -> str:
             body = self.transport.request("/chat/completions", payload, request.cache_salt)
-            return body, _extract_content(body, key)
-
-        def keep(fetched: tuple[dict[str, Any], str]) -> None:
+            content = _extract_content(body, key)
             if self.cache is not None:
-                self.cache.put(key, "/chat/completions", request.cache_salt, fetched[0])
+                self.cache.put(key, "/chat/completions", request.cache_salt, body)
+            return content
 
         failure = f"chat completion failed after {self.cfg.max_retries} attempts"
-        call = functools.partial(_with_retries, attempt_once, self.cfg, self.stats, failure)
-        _, content = yield call, keep
-        return content
+        return (yield functools.partial(_with_retries, attempt_once, self.cfg, self.stats, failure))
 
 
 def _with_retries(
@@ -706,6 +707,8 @@ class EmbeddingClient(_Client):
     misses in batches of `cfg.embed_batch_size`, one transport call (with its
     retries) per batch, on the same loop as `ChatClient.complete_each`: at
     most `cfg.max_in_flight` batches in flight when the transport `waits`.
+    A batch's call caches its vectors, in batch order, once the whole batch
+    has parsed.
     An entry's response is `{"f64le": <base64 of the vector's little-endian
     float64 bytes>}`, an exact round trip at under half the size of JSON
     float text. The encoding is the entry's salt, so it is part of the key:
@@ -757,7 +760,8 @@ class EmbeddingClient(_Client):
         self, batch: list[int], texts: Sequence[str], keys: list[str]
     ) -> _Task[list[EmbeddingVector]]:
         """A task (see `_fan_out`) returning the vectors of `texts[i]` for i in `batch`
-        from one transport call with its retries; each is then cached, in batch order."""
+        from one call that makes the transport request, with its retries, and
+        caches each vector, in batch order, once the whole batch has parsed."""
         payload = {"model": self.cfg.models.embedder, "input": [texts[i] for i in batch]}
 
         def attempt_once() -> list[EmbeddingVector]:
@@ -769,18 +773,16 @@ class EmbeddingClient(_Client):
                         f"embedding count mismatch: sent {len(batch)}, got {len(data)}",
                         retryable=True,
                     )
-                return [EmbeddingVector(d["embedding"]) for d in data]
+                vectors = [EmbeddingVector(d["embedding"]) for d in data]
             except (KeyError, TypeError, ValueError) as exc:  # a bad shape or vector: not retried
                 raise ProviderError(f"malformed embedding response: {exc!r}") from exc
-
-        def keep(vectors: list[EmbeddingVector]) -> None:
             if self.cache is not None:
                 for i, vector in zip(batch, vectors):
                     self.cache.put(keys[i], "/embeddings", self.ENCODING, _encode_vector(vector))
+            return vectors
 
         failure = "embedding request failed"
-        call = functools.partial(_with_retries, attempt_once, self.cfg, self.stats, failure)
-        return (yield call, keep)
+        return (yield functools.partial(_with_retries, attempt_once, self.cfg, self.stats, failure))
 
 
 def _encode_vector(vector: EmbeddingVector) -> dict[str, str]:
@@ -818,15 +820,16 @@ class ProviderStats:
             return dict(self._counts)
 
 
-_in_worker = threading.local()
+# Worker threads' names start with this, so a nested fan-out can tell it runs on one.
+WORKER_THREAD_PREFIX = "mathsynth-worker"
 
+# A fan-out starts a task only while fewer than this many times `max_in_flight`
+# tasks are started and not yet yielded, which bounds the results it holds
+# ahead of a slower earlier task.
+_LOOK_AHEAD = 4
 
-def _mark_worker() -> None:
-    _in_worker.flag = True
-
-
-# A task runs on the calling thread and yields (call, keep) pairs: see _fan_out.
-_Task = Generator[tuple[Callable[[], Any], Callable[[Any], None]], Any, R]
+# A task runs on the calling thread and yields calls: see _fan_out.
+_Task = Generator[Callable[[], Any], Any, R]
 
 
 def _run_here(task: _Task[R]) -> R:
@@ -834,7 +837,7 @@ def _run_here(task: _Task[R]) -> R:
     value, error = None, None
     while True:
         try:
-            call, keep = task.send(value) if error is None else task.throw(error)
+            call = task.send(value) if error is None else task.throw(error)
         except StopIteration as stop:
             return stop.value
         value = error = None  # the task has them: hold no reply through the next call
@@ -842,49 +845,48 @@ def _run_here(task: _Task[R]) -> R:
             value = call()
         except Exception as exc:
             error = exc
-        else:
-            keep(value)
 
 
 def _fan_out(tasks: Sequence[_Task[R]], max_in_flight: int) -> Iterator[R]:
     """Run every task on the calling thread; yield what each returns, in input order,
     as soon as it and every task before it have returned.
 
-    A task is a generator. Each `(call, keep)` it yields sends `call()` to a
-    worker thread, at most `max_in_flight` at a time. As each call finishes,
-    `keep(result)` runs on the calling thread and the result goes back into
-    the task (a call's exception is thrown into it); then new tasks fill the
-    free slots. A result that is ready before an earlier one waits for it,
-    so only those results are held. The calling thread makes every call
-    itself when there is at most one task, which has nothing to overlap with,
-    and with `max_in_flight` 1, as the clients ask when their transport does
-    not wait (`_Client._run`). Worker threads start at the first call and
-    stop before the iterator ends or is closed. The first exception a task
-    raises propagates once the calls in flight have finished and been kept;
-    tasks not yet started are dropped, and so are the results not yet
-    yielded. Closing the iterator early keeps the calls in flight the same
-    way. Run from a worker thread this raises RuntimeError: it would run
-    threads beyond the bound.
+    A task is a generator. Each call it yields goes to a worker thread, at
+    most `max_in_flight` at a time; as it finishes, its result goes back into
+    the task (a call's exception is thrown into it), and then new tasks fill
+    the free slots. A task starts only while fewer than `_LOOK_AHEAD *
+    max_in_flight` tasks are started and not yet yielded, so a slow task holds
+    back a bounded number of results ready after it. The calling thread makes
+    every call itself when there is at most one task, which has nothing to
+    overlap with, and with `max_in_flight` 1, as the clients ask when their
+    transport does not wait (`_Client._run`). Worker threads start at the
+    first call and stop before the iterator ends or is closed. The first
+    exception a task raises propagates once the calls in flight have
+    finished; tasks not yet started are dropped, and so are the results not
+    yet yielded. Closing the iterator early waits for the calls in flight the
+    same way; a call that caches what it fetched (the clients' calls do) so
+    keeps a reply already paid for. Run from a worker thread this raises
+    RuntimeError: it would run threads beyond the bound.
     """
-    if getattr(_in_worker, "flag", False):
+    if threading.current_thread().name.startswith(WORKER_THREAD_PREFIX):
         raise RuntimeError("map_bounded, complete_each or embed called from a pool worker thread")
     if max_in_flight == 1 or len(tasks) < 2:
         for task in tasks:
             yield _run_here(task)
         return
     ready: dict[int, Any] = {}  # results not yet yielded, by input index
-    running: dict[Future[Any], tuple[int, _Task[R], Callable[[Any], None]]] = {}
-    executor = ThreadPoolExecutor(max_in_flight, initializer=_mark_worker)
+    running: dict[Future[Any], tuple[int, _Task[R]]] = {}
+    executor = ThreadPoolExecutor(max_in_flight, thread_name_prefix=WORKER_THREAD_PREFIX)
 
     def resume(
         index: int, task: _Task[R], value: Any = None, error: BaseException | None = None
     ) -> None:
         try:
-            call, keep = task.send(value) if error is None else task.throw(error)
+            call = task.send(value) if error is None else task.throw(error)
         except StopIteration as stop:
             ready[index] = stop.value
         else:
-            running[executor.submit(call)] = (index, task, keep)
+            running[executor.submit(call)] = (index, task)
 
     pending = enumerate(tasks)
     following = 0  # the index of the next result to yield
@@ -893,29 +895,27 @@ def _fan_out(tasks: Sequence[_Task[R]], max_in_flight: int) -> Iterator[R]:
             while following in ready:
                 yield ready.pop(following)
                 following += 1
-            if len(running) < max_in_flight and (started := next(pending, None)):
+            if (
+                len(running) < max_in_flight
+                and len(ready) + len(running) < _LOOK_AHEAD * max_in_flight
+                and (started := next(pending, None))
+            ):
                 resume(*started)
                 continue
             if not running:
                 return
             done = wait(running, return_when=FIRST_COMPLETED).done
             for future in [f for f in running if f in done]:  # in the order they were sent
-                index, task, keep = running.pop(future)
+                index, task = running.pop(future)
                 error = future.exception()
                 if error is None:
-                    keep(future.result())
                     resume(index, task, future.result())
                 else:
                     resume(index, task, error=error)
-            # a finished call's result is a whole reply: keep none through the next wait
+            # a finished call's result is a whole reply: hold none through the next wait
             del done, future
-    except BaseException:  # a task's error, or GeneratorExit when the iterator is closed
-        for future, (_, _, keep) in running.items():  # a reply already paid for is kept
-            if future.exception() is None:
-                keep(future.result())
-        raise
     finally:
-        executor.shutdown(cancel_futures=True)
+        executor.shutdown(cancel_futures=True)  # waits for the calls in flight
 
 
 def map_bounded(
@@ -932,10 +932,6 @@ def map_bounded(
     """
 
     def one_call(item: T) -> _Task[R]:
-        return (yield functools.partial(fn, item), _discard)
+        return (yield functools.partial(fn, item))
 
     return list(_fan_out([one_call(item) for item in items], max_in_flight))
-
-
-def _discard(result: Any) -> None:
-    pass

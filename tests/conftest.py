@@ -11,6 +11,7 @@ from hypothesis import settings
 
 from mathsynth.corpus import Corpus, SeedProblem
 from mathsynth.providers import (
+    WORKER_THREAD_PREFIX,
     ChatClient,
     MockTransport,
     ModelRoles,
@@ -94,16 +95,17 @@ def toy_corpus() -> Corpus:
 
 
 def _executor_threads() -> set[threading.Thread]:
-    return {t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")}
+    return {t for t in threading.enumerate() if t.name.startswith(WORKER_THREAD_PREFIX)}
 
 
 @pytest.fixture(autouse=True)
 def no_executor_threads_left_running():
-    """Fails a test that leaves a ThreadPoolExecutor worker alive that it did not find.
+    """Fails a test that leaves a provider worker thread alive that it did not find.
 
     `complete_each` and `embed` start worker threads for the calls of a transport
     that waits, and `map_bounded` for its `fn` calls, so this checks that each
-    call stops its threads before it returns, whether it succeeds or fails.
+    call stops its threads before it returns, whether it succeeds or fails. The
+    workers are found by the name prefix the fan-out gives them.
     """
     before = _executor_threads()
     yield

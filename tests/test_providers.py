@@ -10,6 +10,7 @@ import ssl
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -949,6 +950,21 @@ def test_map_bounded_propagates_errors():
         map_bounded(explode, range(6), max_in_flight=2)
 
 
+def test_map_bounded_raises_only_once_the_calls_in_flight_have_finished():
+    finished = []
+
+    def fn(x: int) -> int:
+        time.sleep(0.3 if x else 0.02)  # item 1 is still in flight when item 0 fails
+        if not x:
+            raise RuntimeError("worker failed")
+        finished.append(x)
+        return x
+
+    with pytest.raises(RuntimeError, match="worker failed"):
+        map_bounded(fn, [0, 1], 2)
+    assert finished == [1]
+
+
 def test_map_bounded_from_a_pool_worker_is_an_error():
     def nested(x: int) -> list[int]:
         return map_bounded(abs, [x, -x], 2)
@@ -1087,8 +1103,9 @@ def test_complete_each_asks_caches_and_accepts_on_the_calling_thread(tmp_path, m
         )
     )
     assert results == [f"reply to {i}:{1 + i % 2}" for i in range(12)]
-    for step in ("request", "get", "put", "accept"):
+    for step in ("request", "get", "accept"):
         assert seen[step] == {here}, step
+    assert seen["put"] == seen["transport"]  # a reply is cached by the call that fetched it
     assert (here in seen["transport"]) == (max_in_flight == 1)
 
 
@@ -1194,6 +1211,50 @@ def test_closing_complete_each_early_keeps_the_replies_in_flight(tmp_path):
     finally:
         cache.close()
     assert transport.calls == 2
+
+
+def test_a_cache_write_error_propagates_and_the_replies_cached_before_it_stay(tmp_path):
+    client, _ = make_chat(
+        script={"item": _reply_naming_its_salt}, cache_dir=tmp_path, max_in_flight=2, latency=0.001
+    )
+    put, written, lock = client.cache.put, [], threading.Lock()
+
+    def put_until_the_disk_fills(key, *args):
+        with lock:
+            if len(written) == 3:
+                raise OSError("no space left on device")
+            put(key, *args)
+            written.append(key)
+
+    client.cache.put = put_until_the_disk_fills
+    with pytest.raises(OSError, match="no space left"):
+        list(client.complete_each(range(8), _ask, lambda i, n, reply: (True, reply), 1))
+    client.cache.close()
+    cache = ResponseCache(tmp_path)
+    try:
+        assert _cached_keys(cache) == set(written) and len(written) == 3
+        for key in written:
+            assert cache.get(key)["choices"][0]["message"]["content"].startswith("reply to ")
+    finally:
+        cache.close()
+
+
+def test_results_ready_behind_a_stalled_item_are_bounded():
+    def reply(payload, salt):
+        if salt == "0:1":
+            time.sleep(0.4)
+        return f"reply to {salt} " + "x" * 100_000
+
+    client, _ = make_chat(script={"item": reply}, max_in_flight=2, latency=0.001)
+    tracemalloc.start()
+    try:
+        results = client.complete_each(range(150), _ask, lambda i, n, reply: (True, reply), 1)
+        consumed = sum(1 for _ in results)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert consumed == 150
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_provider_stats_counts():
