@@ -13,7 +13,7 @@ import re
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Iterator, NamedTuple, Sequence
+from typing import Any, Iterator, NamedTuple, Sequence, get_type_hints
 
 from . import jsonl
 from .prompts import render_scoring_prompt
@@ -160,6 +160,10 @@ class DifficultyScore:
             raise CurriculumError(f"score {self.score} outside [{lo}, {hi}]")
 
 
+# Each field of a score row, in DifficultyScore's order, and its kind.
+_SCORE_KINDS = get_type_hints(DifficultyScore)
+
+
 def parse_score(text: str) -> float | None:
     """First number before "/10" if present, else the first standalone number."""
     match = _SCORE_OVER_TEN.search(text)
@@ -188,7 +192,7 @@ def score_difficulty(
     model = client.cfg.models.scorer
 
     def request(item: GradedItem, attempt: int) -> ChatRequest:
-        return ChatRequest.user(
+        return ChatRequest(
             model,
             render_scoring_prompt(item.question),
             temperature=0.0,
@@ -268,6 +272,9 @@ def export_sft_stages(
 ) -> Path:
     """Write stage{k}.jsonl conversation files plus manifest.json; returns the manifest path.
 
+    A stage*.jsonl file the plan does not write (left by an export of more
+    stages) is removed, so the directory's stage files are the manifest's.
+
     A `StoredSolution` is read back from its file as its row is written, so
     one solution text is held at a time; each solutions file is opened once
     per export. A stored row that no longer has the item's question_id is a
@@ -292,6 +299,10 @@ def export_sft_stages(
                 "categories": list(stage.categories),
             }
         )
+    written = {entry["file"] for entry in manifest_stages}
+    for stale in out.glob("stage*.jsonl"):
+        if stale.name not in written:
+            stale.unlink()
     manifest = {"grouping": plan.grouping, "total_items": plan.total_items(), "stages": manifest_stages}
     manifest_path = out / "manifest.json"
     jsonl.write_json(manifest_path, manifest)
@@ -340,17 +351,12 @@ def _solution_texts(items: Sequence[GradedItem]) -> Iterator[str]:
 
 
 def save_scores(scores: Sequence[DifficultyScore], path: str | Path) -> None:
-    jsonl.write_records(
-        path,
-        (
-            {"question_id": s.question_id, "score": s.score, "scorer_tag": s.scorer_tag}
-            for s in sorted(scores, key=lambda s: s.question_id)
-        ),
-    )
+    """One row per score, sorted by question_id: its fields, in declaration order."""
+    jsonl.write_records(path, map(vars, sorted(scores, key=lambda s: s.question_id)))
 
 
 def load_scores(path: str | Path) -> dict[str, float]:
     def score(record: dict[str, Any]) -> DifficultyScore:
-        return DifficultyScore(*jsonl.fields(record, question_id=str, score=float, scorer_tag=str))
+        return DifficultyScore(*jsonl.fields(record, **_SCORE_KINDS))
 
     return {s.question_id: s.score for s in jsonl.load(path, score, CurriculumError)}

@@ -132,10 +132,11 @@ def cache_key(path: str, payload: dict[str, Any], salt: str) -> str:
 
 @dataclass(frozen=True)
 class ChatRequest:
-    """One chat completion request; hashable and convertible to the wire payload."""
+    """One chat completion request of a single user prompt; hashable and convertible
+    to the wire payload."""
 
     model: str
-    messages: tuple[tuple[str, str], ...]
+    prompt: str
     temperature: float = 0.7
     max_tokens: int = 4096
     top_p: float | None = None
@@ -144,22 +145,13 @@ class ChatRequest:
     cache_salt: str = ""
 
     def __post_init__(self) -> None:
-        if not self.messages:
-            raise ValueError("chat request needs at least one message")
-        for role, content in self.messages:
-            if role not in ("system", "user", "assistant"):
-                raise ValueError(f"unknown message role {role!r}")
-            if not content:
-                raise ValueError("empty message content")
-
-    @classmethod
-    def user(cls, model: str, prompt: str, **kwargs: Any) -> "ChatRequest":
-        return cls(model=model, messages=(("user", prompt),), **kwargs)
+        if not self.prompt:
+            raise ValueError("empty prompt")
 
     def payload(self) -> dict[str, Any]:
         body: dict[str, Any] = {
             "model": self.model,
-            "messages": [{"role": r, "content": c} for r, c in self.messages],
+            "messages": [{"role": "user", "content": self.prompt}],
             "temperature": self.temperature,
             "max_tokens": self.max_tokens,
         }
@@ -214,7 +206,7 @@ class ResponseCache:
                 if not line.endswith(b"\n"):
                     self._torn = True
                     break
-                if len(line) < 66 or line[64:65] != b"\t":
+                if len(line) < 66 or line[64:65] != b"\t" or not line[:64].isascii():
                     raise ValueError(f"{self.path}: line {lineno}: malformed cache entry")
                 self._index[line[:64].decode("ascii")] = (self._size + 65, len(line) - 66)
                 self._size += len(line)

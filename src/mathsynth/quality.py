@@ -34,14 +34,8 @@ DIMENSIONS = (
     "solvability",
     "logical_flow",
 )
-DIMENSION_LABELS = {
-    "clarity": "Clarity",
-    "completeness": "Completeness",
-    "formatting": "Formatting",
-    "relevance": "Relevance",
-    "solvability": "Solvability",
-    "logical_flow": "Logical Flow",
-}
+# The label a verdict line gives each dimension: "logical_flow" reads "Logical Flow".
+DIMENSION_LABELS = {d: d.replace("_", " ").title() for d in DIMENSIONS}
 
 REVIEW_SAMPLE_ALGORITHM = "mt19937-shuffle-prefix/v1"
 REVIEW_HEADER_KIND = "review_batch_header"
@@ -147,7 +141,7 @@ def verify_dataset(
     """
 
     def request(question: SynthesizedQuestion, attempt: int) -> ChatRequest:
-        return ChatRequest.user(
+        return ChatRequest(
             client.cfg.models.verifier,
             render_verification_prompt(question.question),
             temperature=0.0,

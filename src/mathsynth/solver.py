@@ -196,21 +196,10 @@ class GateReport:
     stats: tuple[NgramStats, ...]
 
     def to_record(self) -> dict[str, Any]:
-        return {
-            "passed": self.passed,
-            "final_answer": self.final_answer,
-            "failures": list(self.failures),
-            "stats": [
-                {
-                    "n": s.n,
-                    "total": s.total,
-                    "distinct": s.distinct,
-                    "duplicate_ratio": s.duplicate_ratio,
-                    "max_consecutive": s.max_consecutive,
-                }
-                for s in self.stats
-            ],
-        }
+        """The fields, in declaration order, with `failures` as a list and each
+        entry of `stats` as its NgramStats fields."""
+        stats = [vars(s).copy() for s in self.stats]
+        return {**vars(self), "failures": list(self.failures), "stats": stats}
 
 
 def check_gates(solution_text: str, cfg: GateConfig | None = None) -> GateReport:
@@ -318,7 +307,7 @@ def solve_each(
             raise SolverError(
                 f"{question.id} has status {question.status!r}; only verified questions are solved"
             )
-        return ChatRequest.user(
+        return ChatRequest(
             client.cfg.models.solver,
             render_solution_prompt(question, parents),
             temperature=cfg.temperature,

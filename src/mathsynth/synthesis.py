@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Sequence, get_type_hints
 
 from . import jsonl
 from .corpus import Corpus, SeedProblem
@@ -67,15 +67,8 @@ class SynthesizedQuestion:
         return replace(self, status=status)
 
     def to_record(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "question": self.question,
-            "category": self.category,
-            "nominal_difficulty": self.nominal_difficulty,
-            "parent_low_id": self.parent_low_id,
-            "parent_high_id": self.parent_high_id,
-            "status": self.status,
-        }
+        """The question row: a copy of the fields, in declaration order."""
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -188,7 +181,7 @@ def synthesize_category(
     pair_of = generation_pairs(pairs)
 
     def request(seed: SeedProblem, attempt: int) -> ChatRequest:
-        return ChatRequest.user(
+        return ChatRequest(
             client.cfg.models.generator,
             render_generation_prompt(template, pair_of[seed.id]),
             temperature=cfg.temperature,
@@ -259,22 +252,11 @@ def save_questions(questions: Sequence[SynthesizedQuestion], path: str | Path) -
 
 
 # Each field of a question row, in SynthesizedQuestion's order, and its kind.
-_QUESTION_FIELDS = dict(
-    id=str,
-    question=str,
-    category=str,
-    nominal_difficulty=float,
-    parent_low_id=str,
-    parent_high_id=str,
-    status=str,
-)
+_QUESTION_KINDS = get_type_hints(SynthesizedQuestion)
 
 
 def _question_from_record(record: dict[str, Any]) -> SynthesizedQuestion:
-    qid, question, category, nominal, *rest = jsonl.fields(
-        {"status": "unverified", **record}, **_QUESTION_FIELDS
-    )
-    return SynthesizedQuestion(qid, question, category, nominal, *rest)
+    return SynthesizedQuestion(*jsonl.fields({"status": "unverified", **record}, **_QUESTION_KINDS))
 
 
 def load_questions(path: str | Path) -> list[SynthesizedQuestion]:

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import json
+import os
 import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any
 
@@ -92,6 +94,39 @@ def make_chat(
 @pytest.fixture
 def toy_corpus() -> Corpus:
     return topic_pair_corpus()
+
+
+@pytest.fixture
+def serve(monkeypatch):
+    """Starts 127.0.0.1 HTTP endpoints, each answering with the handler class it is
+    given, with every `*_proxy` variable unset; at teardown closes the transports
+    listed in each server's `transports`, then stops the servers.
+
+    A server starts with `connections` 0 and empty `seen` and `transports` lists,
+    for its handler and its test to fill.
+    """
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    started = []
+
+    def start(handler: type[BaseHTTPRequestHandler]) -> ThreadingHTTPServer:
+        server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+        server.connections, server.seen, server.transports = 0, [], []
+        thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+        thread.start()
+        started.append((server, thread))
+        return server
+
+    yield start
+    for server, _ in started:
+        for transport in server.transports:
+            transport.close()
+    for server, thread in started:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
 
 
 def _executor_threads() -> set[threading.Thread]:

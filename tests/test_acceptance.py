@@ -269,7 +269,7 @@ def test_criterion_10_provider_concurrency_and_cache(tmp_path):
     def check():
         client, transport = make_chat(cache_dir=tmp_path / "cache", latency=0.002)
         requests = [
-            ChatRequest.user("burst-model", f"burst request number {i}") for i in range(500)
+            ChatRequest("burst-model", f"burst request number {i}") for i in range(500)
         ]
         first = map_bounded(client.complete, requests, max_in_flight=8)
         assert transport.max_concurrent <= 8

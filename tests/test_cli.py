@@ -8,10 +8,9 @@ import random
 import resource
 import subprocess
 import sys
-import threading
 import tracemalloc
 import warnings
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
@@ -932,17 +931,15 @@ sys.exit(mathsynth.cli.main(sys.argv[1:]))
 """
 
 
-def test_run_all_over_http_needs_only_the_standard_library(tmp_path):
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _MockEndpointHandler)
-    server.requests = server.connections = 0
-    serving = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
-    serving.start()
+def test_run_all_over_http_needs_only_the_standard_library(tmp_path, serve):
+    server = serve(_MockEndpointHandler)
+    server.requests = 0
     base_url = f"http://127.0.0.1:{server.server_port}/v1"
     config_path, out = make_run(
         tmp_path, {"providers": {"mock": False, "base_url": base_url, "max_in_flight": 2}}
     )
-    env = {k: v for k, v in os.environ.items() if not k.lower().endswith("_proxy")}
-    env["PYTHONPATH"] = os.pathsep.join([str(Path(cli.__file__).parents[1]), *sys.path])
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, *sys.path])}
 
     def run() -> subprocess.CompletedProcess:
         # -X dev reports any socket left unclosed as a ResourceWarning
@@ -952,15 +949,10 @@ def test_run_all_over_http_needs_only_the_standard_library(tmp_path):
             env=env, capture_output=True, text=True, timeout=120,
         )
 
-    try:
-        first = run()
-        cold = (server.requests, server.connections)
-        second = run()
-        warm = (server.requests, server.connections)
-    finally:
-        server.shutdown()
-        server.server_close()
-        serving.join(timeout=10)
+    first = run()
+    cold = (server.requests, server.connections)
+    second = run()
+    warm = (server.requests, server.connections)
     for proc in (first, second):
         assert proc.returncode == cli.EXIT_OK and "ResourceWarning" not in proc.stderr, proc.stderr
     # never more connections than requests in flight (max_in_flight)

@@ -340,6 +340,22 @@ def test_export_is_byte_stable(tmp_path):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
 
+def test_a_re_export_removes_the_stage_files_it_no_longer_writes(tmp_path):
+    math = [dataclasses.replace(i, question_id=f"m{i.question_id}") for i in pure_items("math")]
+    datasets = [pure_items("gsm"), math]
+    (tmp_path / "notes.jsonl").write_text("{}\n", encoding="utf-8")
+    export_sft_stages(build_blended_curriculum(datasets, grouping=1), tmp_path)
+    assert len(list(tmp_path.glob("stage*.jsonl"))) == 6
+    manifest_path = export_sft_stages(build_blended_curriculum(datasets, grouping=3), tmp_path)
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    staged = sorted(tmp_path.glob("stage*.jsonl"))
+    assert [p.name for p in staged] == [s["file"] for s in manifest["stages"]]
+    assert [p.name for p in staged] == ["stage1.jsonl", "stage2.jsonl"]
+    rows = sum(len(p.read_text(encoding="utf-8").splitlines()) for p in staged)
+    assert rows == manifest["total_items"] == 12
+    assert (tmp_path / "notes.jsonl").exists()  # only stage files are removed
+
+
 def test_scores_round_trip(tmp_path):
     scores = [
         DifficultyScore(question_id="b", score=4.0, scorer_tag="m"),

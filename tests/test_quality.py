@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_chat
+from mathsynth.providers import TransportError
 from mathsynth.quality import (
     DIMENSION_LABELS,
     DIMENSIONS,
@@ -134,11 +135,13 @@ def test_verify_dataset_statuses_and_errors():
         _question("This riddle cannot be pinned down.", id="hybrid:bad"),
         _question("The verifier will answer nonsense here.", id="hybrid:ugly"),
         _question("Already settled.", id="hybrid:done", status="verified"),
+        _question("The endpoint refuses this one.", id="hybrid:down"),
     ]
     client, transport = make_chat(
         script={
             "cannot be pinned down": failing_text,
             "nonsense here": "I refuse to follow the format.",
+            "endpoint refuses": TransportError("bad request", retryable=False, status=400),
         },
         max_in_flight=1,
     )
@@ -149,11 +152,13 @@ def test_verify_dataset_statuses_and_errors():
         "hybrid:bad": "rejected",
         "hybrid:ugly": "unverified",
         "hybrid:done": "verified",
+        "hybrid:down": "unverified",
     }
     assert [q.id for q in outcome.questions] == [q.id for q in questions]  # order kept
     assert len(outcome.verdicts) == 2
-    assert len(outcome.errors) == 1 and outcome.errors[0][0] == "hybrid:ugly"
-    assert transport.calls == 3  # the pre-verified item never went out
+    assert [qid for qid, _ in outcome.errors] == ["hybrid:ugly", "hybrid:down"]
+    assert outcome.errors[1][1].endswith("bad request")  # the provider error's text
+    assert transport.calls == 4  # the pre-verified item never went out; no retry of a 400
 
 
 # --- review sampling ------------------------------------------------------------

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import mathsynth.solver as solver
 from conftest import make_chat
 from mathsynth.corpus import SeedProblem
+from mathsynth.curriculum import DifficultyScore, save_scores
 from mathsynth.providers import TransportError
 from mathsynth.solver import (
     GateConfig,
@@ -624,6 +625,37 @@ def test_solve_dataset_and_persistence(tmp_path):
 
     with pytest.raises(SolverError, match="unknown parent"):
         list(solve_each(questions, {"a": LOW}, client))
+
+
+# The keys of each row, in order, as README "File formats" documents them: a
+# question, score or gate-report row is its dataclass's fields in declaration
+# order, so a renamed field, or a row class declared with slots=True (which
+# has no field dict), fails here instead of silently changing the files.
+_QUESTION_KEYS = [
+    "id", "question", "category", "nominal_difficulty", "parent_low_id", "parent_high_id", "status"
+]
+_SCORE_KEYS = ["question_id", "score", "scorer_tag"]
+_GATE_KEYS = ["question_id", "attempts", "status", "passed", "final_answer", "failures", "stats"]
+_NGRAM_KEYS = ["n", "total", "distinct", "duplicate_ratio", "max_consecutive"]
+
+
+def test_rows_are_their_dataclass_fields_in_declaration_order(tmp_path):
+    question = _question()
+    record = question.to_record()
+    assert list(record) == _QUESTION_KEYS
+    record["status"] = "rejected"  # a copy: the question does not change
+    assert question.status == "verified"
+
+    save_scores([DifficultyScore("hybrid:a", 5.0, "m")], tmp_path / "scores.jsonl")
+    row = json.loads((tmp_path / "scores.jsonl").read_text(encoding="utf-8"))
+    assert list(row) == _SCORE_KEYS
+
+    report = check_gates("Add the crates: 3 + 4 = 7, so \\boxed{7}.")
+    gate_row = SolutionRecord("hybrid:a", "text", "7", 1, "accepted", report).gate_record()
+    assert list(gate_row) == _GATE_KEYS
+    assert gate_row["failures"] == [] and [list(s) for s in gate_row["stats"]] == [_NGRAM_KEYS] * 2
+    gate_row["stats"][0]["n"] = 5
+    assert report.stats[0].n == 2
 
 
 def _questions(count: int) -> list[SynthesizedQuestion]:
