@@ -14,6 +14,7 @@ tag. Each `cmd_*` hands its name and per-tag body to the stage driver
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import sys
 import time
@@ -37,6 +38,7 @@ from .curriculum import (
     build_pure_curriculum,
     export_sft_stages,
     load_scores,
+    load_solution_rows,
     save_scores,
     score_difficulty,
 )
@@ -168,6 +170,11 @@ class Pipeline:
     time: `solve` writes each row as its reply arrives (`solve_dataset`),
     and the graded items of `score` and `curriculum` keep where each
     accepted solution is stored, which the export reads back row by row.
+
+    One invocation hands each stage's outputs to the next in memory (`save`,
+    `load`) while the file keeps the size and modification time it was saved
+    with; separate commands, `--resume` and review-import read files from
+    disk. No solution text is held.
     """
 
     def __init__(self, cfg: RunConfig, out_dir: Path, resume: bool = False):
@@ -182,6 +189,16 @@ class Pipeline:
         self.cache = ResponseCache(self.out / "cache" / "responses")
         self.chat = ChatClient(self.transport, cfg.providers, self.cache)
         self.embedder = EmbeddingClient(self.transport, cfg.providers, self.cache)
+        self._saved: dict[Path, tuple[tuple[int, int], Any]] = {}
+
+    def save(self, path: Path, value: Any) -> None:
+        """Hold `value`, what the file just written at `path` reads back as."""
+        self._saved[path] = (_stamp(path), value)
+
+    def load(self, path: Path, read: Callable[..., Any], *args: Any) -> Any:
+        """A copy of the value saved for `path` while it is unchanged, else `read(path, *args)`."""
+        held = self._saved.get(path)
+        return copy.copy(held[1]) if held and held[0] == _stamp(path) else read(path, *args)
 
     def write_config_copy(self) -> None:
         # out_dir is omitted: it is wherever this copy sits, and pinning it
@@ -199,6 +216,11 @@ class Pipeline:
         self.cache.close()
         if isinstance(self.transport, HttpTransport):
             self.transport.close()
+
+
+def _stamp(path: Path) -> tuple[int, int]:
+    stat = path.stat()
+    return stat.st_size, stat.st_mtime_ns
 
 
 def _each_tag(
@@ -240,7 +262,7 @@ def _verified_questions(pipe: Pipeline, paths: TagPaths) -> list[SynthesizedQues
     """Every question, of any status, in the enabled templates' verified files."""
     questions: list[SynthesizedQuestion] = []
     for template in pipe.cfg.synthesis.templates:
-        questions.extend(load_questions(paths.verified_file(template)))
+        questions.extend(pipe.load(paths.verified_file(template), load_questions))
     return questions
 
 
@@ -251,7 +273,7 @@ def cmd_pair(pipe: Pipeline) -> dict[str, Any]:
     def run(paths: TagPaths, corpus: Corpus) -> tuple[int, Any]:
         embeddings = embed_corpus(corpus, pipe.embedder)
         pairs = build_pairs(corpus, embeddings, pipe.cfg.pairing)
-        save_pairs(pairs, paths.pairs)
+        pipe.save(paths.pairs, save_pairs(pairs, paths.pairs))
         return 0, {
             "problems": len(corpus.problems),
             "pairs": len(pairs),
@@ -265,12 +287,13 @@ def cmd_generate(pipe: Pipeline) -> dict[str, Any]:
     templates = pipe.cfg.synthesis.templates
 
     def run(paths: TagPaths, corpus: Corpus) -> tuple[int, Any]:
-        pairs = load_pairs(paths.pairs, corpus)
+        pairs = pipe.load(paths.pairs, load_pairs, corpus)
         failures = 0
         detail: dict[str, Any] = {}
         for template in templates:
             result = synthesize_category(corpus, pairs, template, pipe.chat, pipe.cfg.synthesis)
-            save_questions(result.questions, paths.generated_file(template))
+            path = paths.generated_file(template)
+            pipe.save(path, save_questions(result.questions, path))
             save_skip_report(result.skipped, result.failures, paths.skips_file(template))
             failures += len(result.failures)
             detail[template] = {
@@ -280,6 +303,7 @@ def cmd_generate(pipe: Pipeline) -> dict[str, Any]:
             }
         originals = original_records(corpus)
         jsonl.write_records(paths.generated_file("original"), originals)
+        pipe.save(paths.generated_file("original"), originals)
         detail["original"] = {"generated": len(originals)}
         return failures, detail
 
@@ -294,15 +318,16 @@ def cmd_verify(pipe: Pipeline) -> dict[str, Any]:
         errors: list[tuple[str, str]] = []
         detail: dict[str, Any] = {}
         for template in templates:
-            outcome = verify_dataset(load_questions(paths.generated_file(template)), pipe.chat)
-            save_questions(outcome.questions, paths.verified_file(template))
+            questions = pipe.load(paths.generated_file(template), load_questions)
+            outcome = verify_dataset(questions, pipe.chat)
+            path = paths.verified_file(template)
+            pipe.save(path, save_questions(outcome.questions, path))
             verdicts.extend(outcome.verdicts)
             errors.extend(outcome.errors)
             detail[template] = {s: sum(q.status == s for q in outcome.questions) for s in STATUSES}
-        jsonl.write_records(
-            paths.verified_file("original"),
-            (record for _, record in jsonl.read_records(paths.generated_file("original"))),
-        )
+        originals = pipe.load(paths.generated_file("original"), jsonl.load, dict)
+        jsonl.write_records(paths.verified_file("original"), originals)
+        pipe.save(paths.verified_file("original"), originals)
         save_verdicts(sorted(verdicts, key=lambda v: v.question_id), paths.verdicts)
         jsonl.write_records(
             paths.verify_errors,
@@ -348,10 +373,10 @@ def cmd_solve(pipe: Pipeline) -> dict[str, Any]:
             key=lambda q: q.id,
         )
         outputs = (paths.solutions, paths.gate_reports)
-        solved, failed = solve_dataset(
-            questions, corpus.by_id(), pipe.chat, pipe.cfg.solver, *outputs
-        )
-        return failed, {"solved": solved, "failed": failed}
+        rows = solve_dataset(questions, corpus.by_id(), pipe.chat, pipe.cfg.solver, *outputs)
+        pipe.save(paths.solutions, rows)
+        failed = sum(not row.accepted for row in rows)
+        return failed, {"solved": len(rows) - failed, "failed": failed}
 
     return _each_tag(pipe, "solve", run)
 
@@ -360,18 +385,12 @@ def _graded_items(pipe: Pipeline, paths: TagPaths, use_scores: bool) -> list[Gra
     """Assemble training items: solver output for generated questions, the
     official answer for originals. With `use_scores`, scores override nominal difficulty.
 
-    Every solutions row is checked, but an accepted solution's text stays in
-    the file: its item keeps the row's span (`StoredSolution`)."""
-    scores = load_scores(paths.scores) if use_scores else {}
-
-    def solution(r: dict[str, Any]) -> tuple[str, bool]:
-        qid, text, status = jsonl.fields(r, question_id=str, solution=str, status=str)
-        if status == "accepted" and not text.strip():
-            raise CurriculumError(f"{qid}: accepted solution must be non-empty")
-        return qid, status == "accepted"
-
-    rows = jsonl.load_spans(paths.solutions, solution, CurriculumError)
-    accepted = {qid: span for span, (qid, ok) in rows if ok}
+    Each input is what an earlier stage of this invocation saved, or else is
+    read and every row checked (`Pipeline.load`). An accepted solution's text
+    stays in its file: its item keeps the row's span (`StoredSolution`)."""
+    scores = pipe.load(paths.scores, load_scores) if use_scores else {}
+    rows = pipe.load(paths.solutions, load_solution_rows)
+    accepted = {row.question_id: row.span for row in rows if row.accepted}
     items = [
         GradedItem(
             q.id,
@@ -391,14 +410,19 @@ def _graded_items(pipe: Pipeline, paths: TagPaths, use_scores: bool) -> list[Gra
         label = f"{paths.tag}/original"
         return GradedItem(qid, question, answer, label, scores.get(qid, nominal))
 
-    return items + jsonl.load(paths.verified_file("original"), original, CurriculumError)
+    def checked(r: dict[str, Any]) -> dict[str, Any]:  # where its file and line are known
+        original(r)
+        return r
+
+    originals = pipe.load(paths.verified_file("original"), jsonl.load, checked, CurriculumError)
+    return items + [original(r) for r in originals]
 
 
 def cmd_score(pipe: Pipeline) -> dict[str, Any]:
     def run(paths: TagPaths, corpus: Corpus) -> tuple[int, Any]:
         items = _graded_items(pipe, paths, use_scores=False)
         scores, missing = score_difficulty(items, pipe.chat)
-        save_scores(scores, paths.scores)
+        pipe.save(paths.scores, save_scores(scores, paths.scores))
         jsonl.write_records(
             paths.scores_missing,
             ({"question_id": qid, "reason": reason} for qid, reason in sorted(missing)),
@@ -441,7 +465,7 @@ def cmd_stats(pipe: Pipeline) -> dict[str, Any]:
     def run(paths: TagPaths, corpus: Corpus) -> tuple[int, Any]:
         counts = dict.fromkeys(CATEGORIES, 0)
         for category in (*pipe.cfg.synthesis.templates, "original"):
-            counts[category] = sum(1 for _ in jsonl.read_records(paths.generated_file(category)))
+            counts[category] = len(pipe.load(paths.generated_file(category), jsonl.load, dict))
         counts["total"] = sum(counts.values())
         return 0, counts
 

@@ -18,6 +18,7 @@ from typing import Any, Iterator, NamedTuple, Sequence, get_type_hints
 from . import jsonl
 from .prompts import render_scoring_prompt
 from .providers import ChatClient, ChatRequest, ProviderError
+from .solver import SolutionRow
 from .synthesis import CATEGORIES
 
 SCORE_RANGE = (1.0, 10.0)
@@ -158,6 +159,7 @@ class DifficultyScore:
         lo, hi = SCORE_RANGE
         if not lo <= self.score <= hi:
             raise CurriculumError(f"score {self.score} outside [{lo}, {hi}]")
+        object.__setattr__(self, "score", float(self.score))
 
 
 # Each field of a score row, in DifficultyScore's order, and its kind.
@@ -350,9 +352,25 @@ def _solution_texts(items: Sequence[GradedItem]) -> Iterator[str]:
         del text
 
 
-def save_scores(scores: Sequence[DifficultyScore], path: str | Path) -> None:
-    """One row per score, sorted by question_id: its fields, in declaration order."""
-    jsonl.write_records(path, map(vars, sorted(scores, key=lambda s: s.question_id)))
+def load_solution_rows(path: str | Path) -> list[SolutionRow]:
+    """Each row of a solutions file, checked, without its text; a mistyped field or
+    an empty accepted solution is a CurriculumError naming the file and line."""
+
+    def row(record: dict[str, Any]) -> tuple[str, bool]:
+        qid, text, status = jsonl.fields(record, question_id=str, solution=str, status=str)
+        if status == "accepted" and not text.strip():
+            raise CurriculumError(f"{qid}: accepted solution must be non-empty")
+        return qid, status == "accepted"
+
+    rows = jsonl.load_spans(path, row, CurriculumError)
+    return [SolutionRow(qid, ok, span) for span, (qid, ok) in rows]
+
+
+def save_scores(scores: Sequence[DifficultyScore], path: str | Path) -> dict[str, float]:
+    """One row per score (its fields), sorted by question_id; returns what `load_scores` gives."""
+    ordered = sorted(scores, key=lambda s: s.question_id)
+    jsonl.write_records(path, map(vars, ordered))
+    return {s.question_id: s.score for s in ordered}
 
 
 def load_scores(path: str | Path) -> dict[str, float]:

@@ -10,10 +10,14 @@ from typing import Any, BinaryIO, Callable, Iterable, Iterator, NamedTuple, Text
 
 T = TypeVar("T")
 
+# Built once: `json.dumps` with any non-default option builds an encoder per call.
+_encode_line = json.JSONEncoder(ensure_ascii=False).encode
+_encode_document = json.JSONEncoder(indent=2, sort_keys=True, ensure_ascii=False).encode
+
 
 def dump_line(record: dict[str, Any]) -> str:
     """Serialize one record to a single LF-terminated line."""
-    return json.dumps(record, ensure_ascii=False) + "\n"
+    return _encode_line(record) + "\n"
 
 
 class Span(NamedTuple):
@@ -131,18 +135,19 @@ def fields(record: dict[str, Any], **kinds: type) -> list[Any]:
 
 def dump_json(obj: Any) -> str:
     """Serialize one pretty-printed JSON document: sorted keys, two-space indent, LF-terminated."""
-    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    return _encode_document(obj) + "\n"
 
 
 @contextlib.contextmanager
 def replacing(path: str | Path) -> Iterator[TextIO]:
     """Open a temporary sibling of `path` for writing; on success it replaces `path`,
-    and on any exception it is removed."""
+    and on any exception it is removed. No newline is translated, so each line's
+    bytes are its UTF-8 encoding."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:  # the records or a write failed: `path` keeps its old bytes

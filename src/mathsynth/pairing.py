@@ -83,6 +83,7 @@ class QuestionPair:
             )
         if not -1.0 - 1e-9 <= self.similarity <= 1.0 + 1e-9:
             raise PairingError(f"similarity out of range: {self.similarity}")
+        object.__setattr__(self, "similarity", float(self.similarity))
 
     def contains(self, problem_id: str) -> bool:
         return problem_id in (self.low.id, self.high.id)
@@ -233,7 +234,8 @@ def embed_corpus(corpus: Corpus, embedder) -> dict[str, EmbeddingVector]:
     return {problem.id: vector for problem, vector in zip(corpus.problems, vectors)}
 
 
-def save_pairs(pairs: Sequence[QuestionPair], path: str | Path) -> None:
+def save_pairs(pairs: Sequence[QuestionPair], path: str | Path) -> list[QuestionPair]:
+    """Write one row per pair; returns what `load_pairs(path, corpus)` gives."""
     jsonl.write_records(
         path,
         (
@@ -241,6 +243,7 @@ def save_pairs(pairs: Sequence[QuestionPair], path: str | Path) -> None:
             for pair in pairs
         ),
     )
+    return list(pairs)
 
 
 def load_pairs(path: str | Path, corpus: Corpus) -> list[QuestionPair]:

@@ -121,8 +121,9 @@ class ProviderConfig:
             )
 
 
-def canonical_json(payload: dict[str, Any]) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+# Built once: `json.dumps` with any non-default option builds an encoder per call.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
+_encode_entry = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
 
 
 def cache_key(path: str, payload: dict[str, Any], salt: str) -> str:
@@ -238,7 +239,7 @@ class ResponseCache:
         if len(key) != 64:
             raise ValueError(f"cache key must be 64 hex digits, got {key!r}")
         record = {"endpoint": endpoint, "salt": salt, "response": response}
-        body = json.dumps(record, ensure_ascii=False, sort_keys=True).encode("utf-8")
+        body = _encode_entry(record).encode("utf-8")
         line = key.encode("ascii") + b"\t" + body + b"\n"
         with self._lock:
             if self._append_fd is None:

@@ -12,7 +12,7 @@ import contextlib
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -331,6 +331,14 @@ def solve_each(
     return client.complete_each(questions, request, accept, cfg.max_attempts)
 
 
+class SolutionRow(NamedTuple):
+    """One row of a solutions file: its question, whether it was accepted, and its span."""
+
+    question_id: str
+    accepted: bool
+    span: jsonl.Span
+
+
 def solve_dataset(
     questions: Sequence[SynthesizedQuestion],
     parents_by_id: dict[str, SeedProblem],
@@ -338,14 +346,16 @@ def solve_dataset(
     cfg: GateConfig,
     solutions: str | Path,
     gate_reports: str | Path,
-) -> tuple[int, int]:
+) -> list[SolutionRow]:
     """`solve_each`, writing each record's `solutions` and `gate_reports` rows as it
-    arrives, so one reply's text is held at a time; returns (solved, failed).
+    arrives, so one reply's text is held at a time; returns the solutions file's
+    rows, as `curriculum.load_solution_rows` reads them back.
 
     Both files are replaced once every row is written. On an error neither
     is: both keep their old bytes, and the replies already received stay cached.
     """
-    failed = 0
+    rows: list[SolutionRow] = []
+    start = 0
     records = solve_each(questions, parents_by_id, client, cfg)
     with (
         contextlib.closing(records),
@@ -353,8 +363,11 @@ def solve_dataset(
         jsonl.replacing(solutions) as texts,
     ):
         for record in records:
-            texts.write(jsonl.dump_line(record.to_record()))
+            line = jsonl.dump_line(record.to_record())
+            texts.write(line)
+            span = jsonl.Span(len(rows) + 1, start, start + len(line.encode()))  # bytes written
+            rows.append(SolutionRow(record.question_id, record.status == "accepted", span))
             reports.write(jsonl.dump_line(record.gate_record()))
-            failed += record.status == "failed"
-            del record  # before the next reply arrives
-    return len(questions) - failed, failed
+            start = span.stop
+            del record, line  # before the next reply arrives
+    return rows

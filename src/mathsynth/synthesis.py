@@ -62,6 +62,7 @@ class SynthesizedQuestion:
             raise SynthesisError(f"unknown status {self.status!r}")
         if not self.parent_low_id or not self.parent_high_id:
             raise SynthesisError("both parent ids are required")
+        object.__setattr__(self, "nominal_difficulty", float(self.nominal_difficulty))
 
     def with_status(self, status: str) -> "SynthesizedQuestion":
         return replace(self, status=status)
@@ -223,36 +224,31 @@ def synthesize_category(
     )
 
 
+# Each field of a question row, in SynthesizedQuestion's order, and its kind.
+_QUESTION_KINDS = get_type_hints(SynthesizedQuestion)
+
+
 def original_records(corpus: Corpus) -> list[dict[str, Any]]:
     """Seed problems re-emitted as the original category, trusted as-is.
 
-    The extra `answer` field carries the official answer so the curriculum
-    stage can use it as the training solution; generated categories get their
-    solutions from the solver instead.
+    Each row is a question row, its keys `SynthesizedQuestion`'s fields in
+    order, then `answer`: the official answer, which the curriculum stage uses
+    as the training solution; generated categories get theirs from the solver.
     """
-    records = []
+    rows = []
     for seed in sorted(corpus.problems, key=lambda p: p.id):
-        records.append(
-            {
-                "id": f"original:{seed.id}",
-                "question": seed.question,
-                "category": "original",
-                "nominal_difficulty": float(seed.difficulty),
-                "parent_low_id": "",
-                "parent_high_id": "",
-                "status": "verified",
-                "answer": seed.answer,
-            }
-        )
-    return records
+        qid = f"original:{seed.id}"
+        values = (qid, seed.question, "original", seed.difficulty, "", "", "verified")
+        rows.append(dict(zip(_QUESTION_KINDS, values, strict=True), answer=seed.answer))
+    return rows
 
 
-def save_questions(questions: Sequence[SynthesizedQuestion], path: str | Path) -> None:
+def save_questions(
+    questions: Sequence[SynthesizedQuestion], path: str | Path
+) -> list[SynthesizedQuestion]:
+    """Write one question row per question; returns what `load_questions(path)` gives."""
     jsonl.write_records(path, (q.to_record() for q in questions))
-
-
-# Each field of a question row, in SynthesizedQuestion's order, and its kind.
-_QUESTION_KINDS = get_type_hints(SynthesizedQuestion)
+    return list(questions)
 
 
 def _question_from_record(record: dict[str, Any]) -> SynthesizedQuestion:

@@ -19,7 +19,11 @@ import pytest
 
 import mathsynth.cli as cli
 from conftest import topic_pair_corpus, write_corpus_file
-from mathsynth.config import CorpusEntry, CurriculumConfig, RunConfig
+from mathsynth import jsonl
+from mathsynth.config import CorpusEntry, CurriculumConfig, RunConfig, load_run_config
+from mathsynth.corpus import Corpus
+from mathsynth.curriculum import load_scores, load_solution_rows
+from mathsynth.pairing import load_pairs
 from mathsynth.providers import MockTransport, cache_key
 from mathsynth.synthesis import SynthesisConfig
 
@@ -60,6 +64,24 @@ def read_jsonl(path: Path) -> list[dict]:
         for line in path.read_text(encoding="utf-8").splitlines()
         if line.strip()
     ]
+
+
+def run_each(config_path: Path, steps, *flags: str) -> None:
+    """Run each step as its own `cli.main` call, so each reads its inputs from disk."""
+    for step in steps:
+        assert cli.main([step, "--config", str(config_path), *flags]) == cli.EXIT_OK, step
+
+
+def artifact_tree(out: Path) -> dict[str, bytes]:
+    artifacts = out / "artifacts"
+    files = sorted(p for p in artifacts.rglob("*") if p.is_file())
+    return {str(p.relative_to(artifacts)): p.read_bytes() for p in files}
+
+
+def cache_keys(out: Path) -> list[str]:
+    """The response cache's keys, in the order they were written."""
+    log = (out / "cache" / "responses" / "log").read_text(encoding="utf-8")
+    return [line[:64] for line in log.splitlines()]
 
 
 # --- configuration errors -----------------------------------------------------
@@ -736,6 +758,127 @@ def test_run_all_with_scores_and_blending(tmp_path):
     assert blended["total_items"] == 24
 
 
+def _accented_corpora(root: Path) -> list[dict]:
+    """Two seed corpora, ids distinct across them, whose questions end in non-ASCII text."""
+    entries = []
+    for tag, mark in (("grade", "café — ½ kg"), ("contest", "数学: √2 ≤ π")):
+        problems = [
+            dataclasses.replace(p, id=f"{tag}-{p.id}", question=f"{p.question} ({mark})")
+            for p in topic_pair_corpus(n_topics=4).problems
+        ]
+        path = write_corpus_file(root / f"{tag}.jsonl", Corpus(tuple(problems)))
+        entries.append({"path": str(path), "tag": tag})
+    return entries
+
+
+def _count_stage_loads(monkeypatch) -> dict[str, int]:
+    """Calls of the stage-output loaders the CLI calls, by name, from now on."""
+    calls = dict.fromkeys(["load_pairs", "load_questions", "load_scores", "load_solution_rows"], 0)
+
+    def counted(name, load):
+        def wrapper(*args):
+            calls[name] += 1
+            return load(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    return calls
+
+
+@pytest.mark.filterwarnings("ignore:stage mean difficulties are not non-decreasing")
+def test_run_all_writes_what_separate_commands_write(tmp_path, monkeypatch):
+    # run-all hands each stage's outputs to the next in memory; a command per
+    # stage reads them back from disk. Both must write the same bytes.
+    calls = _count_stage_loads(monkeypatch)
+    outs, loads = [], []
+    for name in ("run-all", "each"):
+        overrides = {
+            "seed_corpora": _accented_corpora(tmp_path / name),
+            "curriculum": {"use_scores": True, "blend": True},
+        }
+        config_path, out = make_run(tmp_path / name, overrides)
+        cfg = load_run_config(config_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # scores may invert the pure order
+            if name == "run-all":
+                run_each(config_path, ["run-all"])
+            else:
+                run_each(config_path, [c.name for c in cli.COMMAND_TABLE if c.in_run_all(cfg)])
+        outs.append(out)
+        loads.append(dict(calls))
+        calls.update(dict.fromkeys(calls, 0))
+    assert loads[0] == dict.fromkeys(calls, 0)  # run-all read no stage output back
+    assert all(loads[1].values())
+    tree = artifact_tree(outs[0])
+    assert "blended/curriculum/manifest.json" in tree
+    assert "数学: √2 ≤ π".encode() in tree["contest/curriculum/stage2.jsonl"]
+    assert tree == artifact_tree(outs[1])
+    assert cache_keys(outs[0]) == cache_keys(outs[1])
+
+
+@pytest.mark.filterwarnings("ignore:stage mean difficulties are not non-decreasing")
+def test_what_run_all_hands_over_is_what_a_reload_reads(tmp_path):
+    config_path, out = make_run(tmp_path, {"curriculum": {"use_scores": True}}, n_topics=4)
+    pipe = cli.Pipeline(load_run_config(config_path), out)
+    try:
+        cli._run_step(pipe, "run-all")
+    finally:
+        pipe.close()
+    paths = cli.TagPaths(out, "toy")
+    corpus = pipe.corpora["toy"]
+    handed_over = [
+        (paths.pairs, lambda path: load_pairs(path, corpus)),
+        (paths.solutions, load_solution_rows),
+        (paths.scores, load_scores),
+        (paths.generated_file("original"), lambda path: jsonl.load(path, dict)),
+        (paths.verified_file("original"), lambda path: jsonl.load(path, dict)),
+    ]
+    for template in ("hybrid", "decomposed"):
+        for path in (paths.generated_file(template), paths.verified_file(template)):
+            handed_over.append((path, cli.load_questions))
+    for path, read in handed_over:
+        held = pipe.load(path, lambda path: None)
+        assert held, path
+        # repr tells the value's types apart too: an int 3 from a float 3.0
+        assert repr(held) == repr(read(path)), path
+
+
+@pytest.mark.parametrize("rewrite", ["same-bytes-later-mtime", "malformed-row"])
+def test_a_stage_output_changed_on_disk_is_read_from_disk(tmp_path, monkeypatch, capsys, rewrite):
+    config_path, out = make_run(tmp_path, n_topics=3)
+    path = out / "artifacts" / "toy" / "generated" / "hybrid.jsonl"
+    generate = cli.cmd_generate
+
+    def generate_then_rewrite(pipe):
+        result = generate(pipe)
+        if rewrite == "malformed-row":
+            rows = read_jsonl(path)
+            rows[1]["nominal_difficulty"] = "hard"
+            path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        else:
+            stat = path.stat()
+            path.write_bytes(path.read_bytes())
+            os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+        return result
+
+    monkeypatch.setattr(cli, "cmd_generate", generate_then_rewrite)
+    calls = _count_stage_loads(monkeypatch)
+    code = cli.main(["run-all", "--config", str(config_path)])
+    if rewrite == "malformed-row":
+        assert code == cli.EXIT_FATAL
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: line 2: nominal_difficulty must be a number, got 'hard'\n"
+        return
+    assert code == cli.EXIT_OK
+    assert calls["load_questions"] == 1  # only the rewritten file is read back
+    monkeypatch.undo()
+    disk_config, disk_out = make_run(tmp_path / "disk", n_topics=3)
+    run_each(disk_config, ["pair", "generate", "verify", "solve", "curriculum"])
+    assert artifact_tree(out) == artifact_tree(disk_out)
+
+
 def test_each_stage_requests_its_roles_model_from_the_config(tmp_path):
     roles = {
         "generator": "gen-model",
@@ -822,7 +965,8 @@ def _long_reply(salt: str) -> str:
 
 def _stage_peaks(tmp_path, monkeypatch, long_ids) -> dict[str, int]:
     """tracemalloc's peak over solve, score and curriculum, each run alone after the
-    stages before them, with `long_ids` solved by `_long_reply`."""
+    stages before them, and over the three in one `run-all --resume`, whose one
+    Pipeline hands their outputs over in memory; `long_ids` are solved by `_long_reply`."""
 
     def reply(payload, salt):
         stage, _, rest = salt.partition(":")
@@ -832,24 +976,28 @@ def _stage_peaks(tmp_path, monkeypatch, long_ids) -> dict[str, int]:
         cli, "MockTransport", lambda **kw: MockTransport(script={"": reply}, **kw)
     )
     config_path, out = make_run(tmp_path, {"curriculum": {"use_scores": True}}, n_topics=5)
-    run = ["--config", str(config_path)]
-    for step in ("pair", "generate", "verify"):
-        assert cli.main([step, *run]) == cli.EXIT_OK
+    run_all_out = ["--out", str(tmp_path / "run-all")]
+    for flags in ([], run_all_out):
+        run_each(config_path, ("pair", "generate", "verify"), *flags)
+    runs = {step: [step] for step in ("solve", "score", "curriculum")}
+    runs["run-all"] = ["run-all", "--resume", *run_all_out]
     peaks = {}
-    for step in ("solve", "score", "curriculum"):
+    for name, argv in runs.items():
         tracemalloc.start()
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # scores may invert the pure order
-                assert cli.main([step, *run]) == cli.EXIT_OK
-            peaks[step] = tracemalloc.get_traced_memory()[1]
+                assert cli.main([*argv, "--config", str(config_path)]) == cli.EXIT_OK
+            peaks[name] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    solutions = read_jsonl(out / "artifacts" / "toy" / "solutions" / "solutions.jsonl")
-    assert [r["status"] for r in solutions] == ["accepted"] * 20
-    assert sum(len(r["solution"]) > 100_000 for r in solutions) == sum(
-        long_ids(r["question_id"]) for r in solutions
-    )
+    assert read_report(tmp_path / "run-all", "verify")["details"]["toy"] == {"skipped": True}
+    for root in (out, tmp_path / "run-all"):
+        solutions = read_jsonl(root / "artifacts" / "toy" / "solutions" / "solutions.jsonl")
+        assert [r["status"] for r in solutions] == ["accepted"] * 20
+        assert sum(len(r["solution"]) > 100_000 for r in solutions) == sum(
+            long_ids(r["question_id"]) for r in solutions
+        )
     return peaks
 
 
@@ -861,7 +1009,7 @@ def test_solve_score_and_curriculum_hold_one_reply_at_a_time(tmp_path, monkeypat
     twenty = _stage_peaks(tmp_path / "twenty", monkeypatch, lambda qid: True)
     reply_size = len(_long_reply("solve:hybrid:q00a:1"))
     assert 140_000 < reply_size < 160_000
-    for step in ("solve", "score", "curriculum"):
+    for step in ("solve", "score", "curriculum", "run-all"):
         assert twenty[step] - five[step] < reply_size, (step, five[step], twenty[step])
 
 

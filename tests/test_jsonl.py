@@ -4,8 +4,10 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from mathsynth import jsonl
+from mathsynth import jsonl, providers
 from mathsynth.jsonl import check, fields, load
 
 _GOOD = {"id": "q", "score": 1.5}
@@ -161,3 +163,25 @@ def test_load_spans_gives_each_built_row_its_span(tmp_path):
         {"id": "b", "score": 2}
     ]
     assert load(path, build) == ["a", "b"]
+
+
+# Nested JSON values: st.text() draws non-ASCII text and control characters,
+# and the floats include NaN and both infinities.
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(st.dictionaries(st.text(), _VALUES, max_size=6))
+def test_each_encoder_built_once_writes_what_json_dumps_writes(record):
+    assert jsonl.dump_line(record) == json.dumps(record, ensure_ascii=False) + "\n"
+    assert jsonl.dump_json(record) == (
+        json.dumps(record, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    )
+    assert providers.canonical_json(record) == json.dumps(
+        record, sort_keys=True, separators=(",", ":"), ensure_ascii=False
+    )
+    entry = {"endpoint": "/chat/completions", "salt": "s", "response": record}
+    assert providers._encode_entry(entry) == json.dumps(entry, ensure_ascii=False, sort_keys=True)

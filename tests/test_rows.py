@@ -12,15 +12,15 @@ import pytest
 
 import mathsynth.cli as cli
 from mathsynth.corpus import Corpus, CorpusError, SeedProblem, load_corpus
-from mathsynth.curriculum import CurriculumError, load_scores
-from mathsynth.pairing import PairingError, load_pairs
+from mathsynth.curriculum import CurriculumError, DifficultyScore, load_scores, save_scores
+from mathsynth.pairing import PairingError, QuestionPair, load_pairs, save_pairs
 from mathsynth.quality import (
     REVIEW_HEADER_KIND,
     REVIEW_SAMPLE_ALGORITHM,
     QualityError,
     import_review_batch,
 )
-from mathsynth.synthesis import SynthesisError, load_questions
+from mathsynth.synthesis import SynthesisError, SynthesizedQuestion, load_questions, save_questions
 
 
 class Loader(NamedTuple):
@@ -63,8 +63,11 @@ _ORIGINAL = {"id": "a", "question": "question a", "answer": "1", "nominal_diffic
 
 
 def _graded_items(root: Path) -> Any:
-    """The CLI's training items of tag `toy`, with no template enabled."""
-    pipe = SimpleNamespace(cfg=SimpleNamespace(synthesis=SimpleNamespace(templates=())))
+    """The CLI's training items of tag `toy`, with no template enabled, read from disk."""
+    pipe = SimpleNamespace(
+        cfg=SimpleNamespace(synthesis=SimpleNamespace(templates=())),
+        load=lambda path, read, *args: read(path, *args),
+    )
     return cli._graded_items(pipe, cli.TagPaths(root, "toy"), use_scores=False)
 
 
@@ -182,3 +185,20 @@ def test_a_bad_row_names_its_file_and_line_in_the_module_error(tmp_path, name, c
         loader.read(tmp_path)
     assert type(exc.value) is loader.error
     assert str(exc.value) == f"{tmp_path / loader.file}: line {loader.line}: {message}"
+
+
+def test_each_save_returns_what_its_load_reads_back(tmp_path):
+    # numbers given as ints come back as the floats a reload builds; repr tells them apart
+    pair = QuestionPair(*_CORPUS.problems, similarity=1)
+    question = SynthesizedQuestion(**{**_QUESTION, "nominal_difficulty": 7})
+    saved = [
+        save_pairs([pair], tmp_path / "pairs.jsonl"),
+        save_questions([question], tmp_path / "hybrid.jsonl"),
+        save_scores([DifficultyScore("a", 5, "m")], tmp_path / "scores.jsonl"),
+    ]
+    loaded = [
+        load_pairs(tmp_path / "pairs.jsonl", _CORPUS),
+        load_questions(tmp_path / "hybrid.jsonl"),
+        load_scores(tmp_path / "scores.jsonl"),
+    ]
+    assert repr(saved) == repr(loaded)

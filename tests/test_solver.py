@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 
 import mathsynth.solver as solver
 from conftest import make_chat
+from mathsynth import jsonl
 from mathsynth.corpus import SeedProblem
-from mathsynth.curriculum import DifficultyScore, save_scores
+from mathsynth.curriculum import DifficultyScore, load_solution_rows, save_scores
 from mathsynth.providers import TransportError
 from mathsynth.solver import (
     GateConfig,
@@ -609,7 +610,9 @@ def test_solve_dataset_and_persistence(tmp_path):
     assert all(r.status == "accepted" for r in records)
 
     outputs = (tmp_path / "solutions.jsonl", tmp_path / "gates.jsonl")
-    assert solve_dataset(questions, parents, client, GateConfig(), *outputs) == (2, 0)
+    index = solve_dataset(questions, parents, client, GateConfig(), *outputs)
+    assert [(r.question_id, r.accepted) for r in index] == [("hybrid:a", True), ("hybrid:b", True)]
+    assert index == load_solution_rows(outputs[0])
     rows = [
         json.loads(line)
         for line in (tmp_path / "solutions.jsonl").read_text(encoding="utf-8").splitlines()
@@ -681,11 +684,30 @@ def test_solve_dataset_writes_the_serial_bytes_when_replies_finish_out_of_order(
             script={"How many parts": first_is_slow}, latency=0.001, max_in_flight=workers
         )
         out = [tmp_path / str(workers) / name for name in ("solutions.jsonl", "gates.jsonl")]
-        assert solve_dataset(questions, {"a": LOW, "b": HIGH}, client, GateConfig(), *out) == (6, 0)
+        index = solve_dataset(questions, {"a": LOW, "b": HIGH}, client, GateConfig(), *out)
+        assert [r.accepted for r in index] == [True] * 6
         files[workers] = [path.read_bytes() for path in out]
         assert sorted(finished) == list(range(6))
         assert (finished == sorted(finished)) == (workers == 1)
     assert files[1] == files[2]
+
+
+_ACCENTED_WORDS = [f"{stem}{i}" for i in range(2500) for stem in ("é", "数")]
+
+
+def test_solve_dataset_records_the_spans_read_records_reads(tmp_path):
+    def long_accented(payload, salt):  # about 100 KB, mostly two- and three-byte characters
+        return " ".join(random.Random(salt).choices(_ACCENTED_WORDS, k=15_000)) + " \\boxed{7}"
+
+    client, _ = make_chat(script={"How many parts": long_accented})
+    out = [tmp_path / name for name in ("solutions.jsonl", "gates.jsonl")]
+    rows = solve_dataset(_questions(3), {"a": LOW, "b": HIGH}, client, GateConfig(), *out)
+    assert [row.accepted for row in rows] == [True] * 3
+    assert [row.span for row in rows] == [span for span, _ in jsonl.read_records(out[0])]
+    assert rows == load_solution_rows(out[0])
+    sizes = [row.span.stop - row.span.start for row in rows]
+    assert all(90_000 < size < 130_000 for size in sizes), sizes
+    assert rows[-1].span.stop == out[0].stat().st_size
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -1,6 +1,7 @@
 """Generation prompts, output parsing, difficulty labeling, and batch synthesis."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_chat, topic_pair_corpus
+from mathsynth import jsonl
 from mathsynth.corpus import Corpus, SeedProblem
 from mathsynth.pairing import EmbeddingVector, PairingConfig, QuestionPair, build_pairs
 from mathsynth.prompts import (
@@ -318,6 +320,19 @@ def test_original_records(toy_corpus):
     assert first["status"] == "verified"
     assert first["answer"] == "10"
     assert first["nominal_difficulty"] == 3.0
+
+
+def test_original_rows_are_question_rows_then_the_answer(tmp_path, toy_corpus):
+    path = tmp_path / "original.jsonl"
+    jsonl.write_records(path, original_records(toy_corpus))
+    first = path.read_bytes().splitlines()[0]
+    keys = [field.name for field in dataclasses.fields(SynthesizedQuestion)]
+    assert list(json.loads(first)) == [*keys, "answer"]
+    assert first == (
+        b'{"id": "original:q00a", "question": "Topic 00 inventory count puzzle with 3 crates '
+        b'and a simple twist.", "category": "original", "nominal_difficulty": 3.0, '
+        b'"parent_low_id": "", "parent_high_id": "", "status": "verified", "answer": "10"}'
+    )
 
 
 def test_skip_report_is_sorted(tmp_path):
