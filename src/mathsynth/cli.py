@@ -30,7 +30,6 @@ from . import jsonl
 from .config import ConfigError, RunConfig, load_run_config
 from .corpus import Corpus, CorpusError, load_corpus
 from .curriculum import (
-    CurriculumError,
     CurriculumPlan,
     GradedItem,
     StoredSolution,
@@ -38,7 +37,6 @@ from .curriculum import (
     build_pure_curriculum,
     export_sft_stages,
     load_scores,
-    load_solution_rows,
     save_scores,
     score_difficulty,
 )
@@ -59,13 +57,14 @@ from .quality import (
     save_verdicts,
     verify_dataset,
 )
-from .solver import solve_dataset
+from .solver import load_solution_rows, solve_dataset
 from .synthesis import (
     CATEGORIES,
     STATUSES,
     SynthesizedQuestion,
+    load_originals,
     load_questions,
-    original_records,
+    save_originals,
     save_questions,
     save_skip_report,
     synthesize_category,
@@ -157,14 +156,9 @@ class Pipeline:
     Each seed corpus is parsed once, when the pipeline opens. The chat and
     embedding clients carry `cfg.providers`, so each stage reads its role's
     model from its client (`client.cfg.models`). Chat stages ask through
-    `complete_each` and `pair` through `embed`, one loop over the one
-    transport, whose kept-alive connections last the run. That loop builds
-    requests, reads the cache and checks replies on the calling thread.
-    Only the calls of cache misses go to worker threads, each a transport
-    request and the cache write of its reply, and only over `HttpTransport`,
-    whose calls wait: each call of the loop starts its threads at its first
-    miss and stops them before it returns. The `--mock` transport makes its
-    calls on the calling thread.
+    `ChatClient.complete_each` and `pair` through `EmbeddingClient.embed`,
+    over the one transport, whose kept-alive connections last the run; how
+    they use threads is theirs to say (`providers._fan_out`).
 
     `solve`, `score` and `curriculum` hold one solver reply's text at a
     time: `solve` writes each row as its reply arrives (`solve_dataset`),
@@ -301,10 +295,9 @@ def cmd_generate(pipe: Pipeline) -> dict[str, Any]:
                 "skipped": len(result.skipped),
                 "failed": len(result.failures),
             }
-        originals = original_records(corpus)
-        jsonl.write_records(paths.generated_file("original"), originals)
-        pipe.save(paths.generated_file("original"), originals)
-        detail["original"] = {"generated": len(originals)}
+        path = paths.generated_file("original")
+        pipe.save(path, save_originals(corpus, path))
+        detail["original"] = {"generated": len(corpus.problems)}
         return failures, detail
 
     return _each_tag(pipe, "generate", run)
@@ -314,6 +307,8 @@ def cmd_verify(pipe: Pipeline) -> dict[str, Any]:
     templates = pipe.cfg.synthesis.templates
 
     def run(paths: TagPaths, corpus: Corpus) -> tuple[int, Any]:
+        source = paths.generated_file("original")
+        originals = pipe.load(source, load_originals)  # checked before any provider call
         verdicts = []
         errors: list[tuple[str, str]] = []
         detail: dict[str, Any] = {}
@@ -325,9 +320,10 @@ def cmd_verify(pipe: Pipeline) -> dict[str, Any]:
             verdicts.extend(outcome.verdicts)
             errors.extend(outcome.errors)
             detail[template] = {s: sum(q.status == s for q in outcome.questions) for s in STATUSES}
-        originals = pipe.load(paths.generated_file("original"), jsonl.load, dict)
-        jsonl.write_records(paths.verified_file("original"), originals)
-        pipe.save(paths.verified_file("original"), originals)
+        path = paths.verified_file("original")
+        with jsonl.replacing(path) as fh:  # checked, the rows pass on as they are
+            fh.write(source.read_bytes().decode("utf-8"))
+        pipe.save(path, originals)
         save_verdicts(sorted(verdicts, key=lambda v: v.question_id), paths.verdicts)
         jsonl.write_records(
             paths.verify_errors,
@@ -385,8 +381,8 @@ def _graded_items(pipe: Pipeline, paths: TagPaths, use_scores: bool) -> list[Gra
     """Assemble training items: solver output for generated questions, the
     official answer for originals. With `use_scores`, scores override nominal difficulty.
 
-    Each input is what an earlier stage of this invocation saved, or else is
-    read and every row checked (`Pipeline.load`). An accepted solution's text
+    Each input is what an earlier stage of this invocation saved, or else what
+    its module's loader reads (`Pipeline.load`). An accepted solution's text
     stays in its file: its item keeps the row's span (`StoredSolution`)."""
     scores = pipe.load(paths.scores, load_scores) if use_scores else {}
     rows = pipe.load(paths.solutions, load_solution_rows)
@@ -402,20 +398,11 @@ def _graded_items(pipe: Pipeline, paths: TagPaths, use_scores: bool) -> list[Gra
         for q in _verified_questions(pipe, paths)
         if q.status == "verified" and q.id in accepted
     ]
-
-    def original(r: dict[str, Any]) -> GradedItem:
-        qid, question, answer, nominal = jsonl.fields(
-            r, id=str, question=str, answer=str, nominal_difficulty=float
-        )
-        label = f"{paths.tag}/original"
-        return GradedItem(qid, question, answer, label, scores.get(qid, nominal))
-
-    def checked(r: dict[str, Any]) -> dict[str, Any]:  # where its file and line are known
-        original(r)
-        return r
-
-    originals = pipe.load(paths.verified_file("original"), jsonl.load, checked, CurriculumError)
-    return items + [original(r) for r in originals]
+    label = f"{paths.tag}/original"
+    return items + [
+        GradedItem(p.id, p.question, p.answer, label, scores.get(p.id, p.difficulty))
+        for p in pipe.load(paths.verified_file("original"), load_originals)
+    ]
 
 
 def cmd_score(pipe: Pipeline) -> dict[str, Any]:
@@ -460,12 +447,14 @@ def cmd_curriculum(pipe: Pipeline) -> dict[str, Any]:
 
 
 def cmd_stats(pipe: Pipeline) -> dict[str, Any]:
-    """Count generated rows per category; a template that is not enabled counts 0."""
+    """Count generated rows per category, read by their stages' loaders; a template
+    that is not enabled counts 0."""
 
     def run(paths: TagPaths, corpus: Corpus) -> tuple[int, Any]:
         counts = dict.fromkeys(CATEGORIES, 0)
-        for category in (*pipe.cfg.synthesis.templates, "original"):
-            counts[category] = len(pipe.load(paths.generated_file(category), jsonl.load, dict))
+        for template in pipe.cfg.synthesis.templates:
+            counts[template] = len(pipe.load(paths.generated_file(template), load_questions))
+        counts["original"] = len(pipe.load(paths.generated_file("original"), load_originals))
         counts["total"] = sum(counts.values())
         return 0, counts
 

@@ -45,7 +45,7 @@ class CorpusEntry:
     @property
     def name(self) -> str:
         """The tag, or the file stem when no tag is given."""
-        return self.tag or Path(self.path).stem
+        return Path(self.path).stem if self.tag is None else self.tag
 
 
 @dataclass(frozen=True)

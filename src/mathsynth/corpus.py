@@ -1,8 +1,9 @@
 """Seed corpora: load and validate difficulty-annotated problems.
 
 A corpus file is UTF-8, one JSON object per line. Required keys: "question"
-(string), "answer" (string), "difficulty" (number). Optional: "id". Other
-keys are ignored.
+(string), "answer" (string), "difficulty" (number). Optional: "id" (a
+non-empty string; absent or null means the content hash). Other keys are
+ignored.
 """
 from __future__ import annotations
 
@@ -81,16 +82,15 @@ class Corpus:
 def problem_from_record(record: dict[str, Any]) -> SeedProblem:
     """Build a SeedProblem from a parsed record, validating the schema; other keys are ignored."""
     question, answer, difficulty = jsonl.fields(record, question=str, answer=str, difficulty=float)
-    problem_id = record.get("id") or question_hash(question)
-    if not isinstance(problem_id, str):
-        raise CorpusError("id must be a string")
+    problem_id = question_hash(question) if record.get("id") is None else record["id"]
+    jsonl.check(problem_id, str, "id")
     return SeedProblem(id=problem_id, question=question, answer=answer, difficulty=difficulty)
 
 
 def load_corpus(path: str | Path) -> Corpus:
     """Load a line-delimited corpus file.
 
-    Missing ids are assigned from the content hash of the question text.
+    Missing or null ids are assigned from the content hash of the question text.
     Malformed lines, duplicate ids, and byte-identical duplicate questions are
     hard errors with line-numbered diagnostics.
     """

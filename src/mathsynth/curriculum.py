@@ -18,7 +18,7 @@ from typing import Any, Iterator, NamedTuple, Sequence, get_type_hints
 from . import jsonl
 from .prompts import render_scoring_prompt
 from .providers import ChatClient, ChatRequest, ProviderError
-from .solver import SolutionRow
+from .solver import read_solutions
 from .synthesis import CATEGORIES
 
 SCORE_RANGE = (1.0, 10.0)
@@ -280,7 +280,8 @@ def export_sft_stages(
     A `StoredSolution` is read back from its file as its row is written, so
     one solution text is held at a time; each solutions file is opened once
     per export. A stored row that no longer has the item's question_id is a
-    CurriculumError naming the file and line.
+    CurriculumError naming the file and line; one that is no longer a
+    solutions row is a SolverError (`solver.read_solutions`).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -331,39 +332,19 @@ def _solution_texts(items: Sequence[GradedItem]) -> Iterator[str]:
     for item in items:
         if isinstance(item.solution, StoredSolution):
             spans.setdefault(item.solution.path, []).append(item.solution.span)
-    rows = {path: jsonl.read_records(path, CurriculumError, at) for path, at in spans.items()}
+    rows = {path: read_solutions(path, at) for path, at in spans.items()}
     for item in items:
         if not isinstance(item.solution, StoredSolution):
             yield item.solution
             continue
-        path = item.solution.path
-        (lineno, _, _), record = next(rows[path])
-        try:
-            qid, text = jsonl.fields(record, question_id=str, solution=str)
-        except ValueError as exc:
-            raise CurriculumError(f"{path}: line {lineno}: {exc}") from None
-        if qid != item.question_id:
+        row, text = next(rows[item.solution.path])
+        if row.question_id != item.question_id:
             raise CurriculumError(
-                f"{path}: line {lineno}: question_id {qid!r} where {item.question_id!r} "
-                "was read; the file changed"
+                f"{item.solution.path}: line {row.span.lineno}: question_id "
+                f"{row.question_id!r} where {item.question_id!r} was read; the file changed"
             )
-        del record  # see jsonl.read_records
         yield text
         del text
-
-
-def load_solution_rows(path: str | Path) -> list[SolutionRow]:
-    """Each row of a solutions file, checked, without its text; a mistyped field or
-    an empty accepted solution is a CurriculumError naming the file and line."""
-
-    def row(record: dict[str, Any]) -> tuple[str, bool]:
-        qid, text, status = jsonl.fields(record, question_id=str, solution=str, status=str)
-        if status == "accepted" and not text.strip():
-            raise CurriculumError(f"{qid}: accepted solution must be non-empty")
-        return qid, status == "accepted"
-
-    rows = jsonl.load_spans(path, row, CurriculumError)
-    return [SolutionRow(qid, ok, span) for span, (qid, ok) in rows]
 
 
 def save_scores(scores: Sequence[DifficultyScore], path: str | Path) -> dict[str, float]:

@@ -79,20 +79,25 @@ _FLOAT_MAX = sys.float_info.max
 
 
 def load_spans(
-    path: str | Path, build: Callable[[dict[str, Any]], T], error: type[Exception] = ValueError
+    path: str | Path,
+    build: Callable[[dict[str, Any]], T],
+    error: type[Exception] = ValueError,
+    spans: Iterable[Span] | None = None,
 ) -> Iterator[tuple[Span, T]]:
-    """(span, `build(record)`) for each record of `path`, in file order.
+    """(span, `build(record)`) for each record of `path`, in file order, or for
+    those at `spans` (as `read_records` reads them).
 
     A ValueError from `build` (a `fields` error, or a check of the object
     being built) is raised again as `error` naming the file and line.
     """
-    for span, record in read_records(path, error):
+    for span, record in read_records(path, error, spans):
         try:
             value = build(record)
         except ValueError as exc:
             raise error(f"{path}: line {span.lineno}: {exc}") from None
         del record  # see read_records
         yield span, value
+        del value  # before the next record is read
 
 
 def load(

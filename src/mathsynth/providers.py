@@ -474,10 +474,6 @@ class MockTransport:
 
     # -- response fabrication ------------------------------------------------
 
-    def _entropy(self, payload: dict[str, Any], salt: str) -> str:
-        blob = f"{self.seed}\n{salt}\n{canonical_json(payload)}"
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
     def _embeddings(self, payload: dict[str, Any]) -> dict[str, Any]:
         texts = payload.get("input", [])
         data = [
@@ -493,7 +489,7 @@ class MockTransport:
     def _chat(self, payload: dict[str, Any], salt: str) -> dict[str, Any]:
         text = "\n".join(m.get("content", "") for m in payload.get("messages", []))
         content = self._scripted(text, payload, salt)
-        entropy = self._entropy(payload, salt)
+        entropy = cache_key(str(self.seed), payload, salt)  # the seed stands in for the path
         if content is None:
             content = self._fabricate(text, entropy)
         return {

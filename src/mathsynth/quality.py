@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, Sequence, get_type_hints
 
 from . import jsonl
 from .prompts import render_verification_prompt
@@ -205,6 +205,11 @@ class ReviewBatch:
         object.__setattr__(self, "verdicts", MappingProxyType(dict(self.verdicts)))
 
 
+# Each field of the review header after `kind`, in ReviewBatch's order, and its kind.
+_HEADER_KINDS = get_type_hints(ReviewBatch)
+del _HEADER_KINDS["items"], _HEADER_KINDS["verdicts"]  # the rows after the header
+
+
 def sample_for_review(
     population: Sequence[str], rate: float = 0.10, seed: int = 0
 ) -> ReviewBatch:
@@ -228,13 +233,7 @@ def export_review_batch(
     path: str | Path,
 ) -> None:
     """Write the annotation file: a header record, then one blank-verdict row per item."""
-    header = {
-        "kind": REVIEW_HEADER_KIND,
-        "sample_rate": batch.sample_rate,
-        "seed": batch.seed,
-        "population": batch.population,
-        "algorithm": batch.algorithm,
-    }
+    header = {"kind": REVIEW_HEADER_KIND} | {name: getattr(batch, name) for name in _HEADER_KINDS}
     rows: list[dict[str, Any]] = [header]
     for qid in batch.items:
         if qid not in questions_by_id:
@@ -249,10 +248,8 @@ def _review_line(record: dict[str, Any]) -> ReviewBatch | tuple[str, str, str]:
     """A header line as its batch without items, or an item line as (question_id, verdict, note)."""
     if record.get("kind") == REVIEW_HEADER_KIND:
         record = {"algorithm": REVIEW_SAMPLE_ALGORITHM, **record}
-        sample_rate, seed, population, algorithm = jsonl.fields(
-            record, sample_rate=float, seed=int, population=int, algorithm=str
-        )
-        return ReviewBatch(sample_rate, seed, (), population, algorithm)
+        values = jsonl.fields(record, **_HEADER_KINDS)
+        return ReviewBatch(items=(), **dict(zip(_HEADER_KINDS, values)))
     qid, verdict = jsonl.fields(record, question_id=str, verdict=str)
     if verdict not in ("", *_REVIEW_VERDICTS):
         raise QualityError(f"verdict must be one of {_REVIEW_VERDICTS} or empty, got {verdict!r}")

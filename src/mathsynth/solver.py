@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
@@ -339,6 +340,29 @@ class SolutionRow(NamedTuple):
     span: jsonl.Span
 
 
+def _solution(record: dict[str, Any]) -> tuple[str, bool, str]:
+    qid, text, status = jsonl.fields(record, question_id=str, solution=str, status=str)
+    if status == "accepted" and not text.strip():
+        raise SolverError(f"{qid}: accepted solution must be non-empty")
+    return qid, status == "accepted", text
+
+
+def read_solutions(
+    path: str | Path, spans: Iterable[jsonl.Span] | None = None
+) -> Iterator[tuple[SolutionRow, str]]:
+    """(row, solution text) for each row of a solutions file, or for those at
+    `spans`, one text held at a time; a mistyped field or an empty accepted
+    solution is a SolverError naming the file and line."""
+    for span, (qid, accepted, text) in jsonl.load_spans(path, _solution, SolverError, spans):
+        yield SolutionRow(qid, accepted, span), text
+        del text  # see jsonl.read_records
+
+
+def load_solution_rows(path: str | Path) -> list[SolutionRow]:
+    """Each row of a solutions file, checked (`read_solutions`), without its text."""
+    return list(map(itemgetter(0), read_solutions(path)))  # one text held at a time
+
+
 def solve_dataset(
     questions: Sequence[SynthesizedQuestion],
     parents_by_id: dict[str, SeedProblem],
@@ -349,7 +373,7 @@ def solve_dataset(
 ) -> list[SolutionRow]:
     """`solve_each`, writing each record's `solutions` and `gate_reports` rows as it
     arrives, so one reply's text is held at a time; returns the solutions file's
-    rows, as `curriculum.load_solution_rows` reads them back.
+    rows, as `load_solution_rows` reads them back.
 
     Both files are replaced once every row is written. On an error neither
     is: both keep their old bytes, and the replies already received stay cached.

@@ -54,7 +54,7 @@ class SynthesizedQuestion:
         if self.category not in GENERATION_TEMPLATES:
             raise SynthesisError(
                 f"category must be one of {GENERATION_TEMPLATES}, got {self.category!r}; "
-                "original items pass through as plain records"
+                "original items are seed problems (`load_originals`)"
             )
         if not self.id or not self.question.strip():
             raise SynthesisError("id and question must be non-empty")
@@ -228,19 +228,26 @@ def synthesize_category(
 _QUESTION_KINDS = get_type_hints(SynthesizedQuestion)
 
 
-def original_records(corpus: Corpus) -> list[dict[str, Any]]:
-    """Seed problems re-emitted as the original category, trusted as-is.
+def save_originals(corpus: Corpus, path: str | Path) -> list[SeedProblem]:
+    """Write the seed problems, sorted, as the original category: each under id
+    `original:{seed id}`, a question row whose nominal difficulty is the seed's,
+    then `answer` (the training solution). Returns what `load_originals(path)` gives."""
+    seeds = sorted(corpus.problems, key=lambda p: p.id)
+    problems = [replace(p, id=f"original:{p.id}") for p in seeds]
 
-    Each row is a question row, its keys `SynthesizedQuestion`'s fields in
-    order, then `answer`: the official answer, which the curriculum stage uses
-    as the training solution; generated categories get theirs from the solver.
-    """
-    rows = []
-    for seed in sorted(corpus.problems, key=lambda p: p.id):
-        qid = f"original:{seed.id}"
-        values = (qid, seed.question, "original", seed.difficulty, "", "", "verified")
-        rows.append(dict(zip(_QUESTION_KINDS, values, strict=True), answer=seed.answer))
-    return rows
+    def row(p: SeedProblem) -> dict[str, Any]:
+        values = (p.id, p.question, "original", p.difficulty, "", "", "verified")
+        return dict(zip(_QUESTION_KINDS, values, strict=True), answer=p.answer)
+
+    jsonl.write_records(path, map(row, problems))
+    return problems
+
+
+def load_originals(path: str | Path) -> list[SeedProblem]:
+    """The problems of an original file; a missing or mistyped field, or a row
+    `SeedProblem` rejects, is a SynthesisError naming the file and line."""
+    kinds = {"id": str, "question": str, "answer": str, "nominal_difficulty": float}
+    return jsonl.load(path, lambda r: SeedProblem(*jsonl.fields(r, **kinds)), SynthesisError)
 
 
 def save_questions(

@@ -19,13 +19,13 @@ import pytest
 
 import mathsynth.cli as cli
 from conftest import topic_pair_corpus, write_corpus_file
-from mathsynth import jsonl
 from mathsynth.config import CorpusEntry, CurriculumConfig, RunConfig, load_run_config
 from mathsynth.corpus import Corpus
-from mathsynth.curriculum import load_scores, load_solution_rows
+from mathsynth.curriculum import load_scores
 from mathsynth.pairing import load_pairs
 from mathsynth.providers import MockTransport, cache_key
-from mathsynth.synthesis import SynthesisConfig
+from mathsynth.solver import load_solution_rows
+from mathsynth.synthesis import SynthesisConfig, load_originals, load_questions
 
 
 def merged(base, override):
@@ -168,6 +168,7 @@ def test_non_object_config_section_is_usage_error(tmp_path, capsys):
             {"synthesis": {"templates": ["hybrid", "hybrid"]}},
             "synthesis.templates must not repeat, got ['hybrid', 'hybrid']",
         ),
+        ({"seed_corpora": [{"tag": ""}]}, "seed_corpora[0].tag must be filesystem-safe, got ''"),
     ],
 )
 def test_invalid_values_are_usage_errors(tmp_path, capsys, overrides, fragment):
@@ -493,7 +494,7 @@ def test_resume_reruns_a_stage_missing_any_of_its_outputs(tmp_path):
         (
             "verified/original.jsonl",
             {"id": "x", "question": "q", "answer": "", "nominal_difficulty": 3},
-            "x: question and solution must be non-empty",
+            "empty answer",
         ),
     ],
 )
@@ -559,6 +560,30 @@ def test_malformed_artifact_row_names_its_file_and_line(tmp_path, capsys, artifa
             "verify",
             "nominal_difficulty must be a number, got inf",
         ),
+        (
+            ["pair", "generate"],
+            "generated/original.jsonl",
+            2,
+            lambda row: row.update(nominal_difficulty="hard"),
+            "verify",
+            "nominal_difficulty must be a number, got 'hard'",
+        ),
+        (
+            ["pair", "generate"],
+            "generated/original.jsonl",
+            2,
+            lambda row: row.update(answer=" "),
+            "verify",
+            "empty answer",
+        ),
+        (
+            ["pair", "generate"],
+            "generated/hybrid.jsonl",
+            2,
+            lambda row: row.pop("parent_low_id"),
+            "stats",
+            "missing field 'parent_low_id'",
+        ),
     ],
     ids=[
         "pair-without-similarity",
@@ -567,6 +592,9 @@ def test_malformed_artifact_row_names_its_file_and_line(tmp_path, capsys, artifa
         "question-with-text-difficulty",
         "question-with-numeric-text",
         "question-with-infinite-difficulty",
+        "original-with-text-difficulty",
+        "original-with-blank-answer",
+        "stats-question-without-parent",
     ],
 )
 def test_malformed_stage_input_names_its_file_and_line(
@@ -582,6 +610,32 @@ def test_malformed_stage_input_names_its_file_and_line(
     capsys.readouterr()
     assert cli.main([step, "--config", str(config_path)]) == cli.EXIT_FATAL
     assert capsys.readouterr().err == f"error: {path}: line {lineno}: {fragment}\n"
+
+
+def test_verify_checks_the_originals_before_any_provider_call(tmp_path, capsys):
+    config_path, out = make_run(tmp_path, n_topics=3)
+    run_each(config_path, ["pair", "generate"])
+    keys = cache_keys(out)
+    path = out / "artifacts" / "toy" / "generated" / "original.jsonl"
+    path.write_bytes(path.read_bytes() + b'{"id": "original:x"}\n')
+    capsys.readouterr()
+    assert cli.main(["verify", "--config", str(config_path)]) == cli.EXIT_FATAL
+    assert capsys.readouterr().err.startswith(f"error: {path}: line 7: missing field")
+    assert cache_keys(out) == keys and not (out / "artifacts" / "toy" / "verified").exists()
+
+
+def test_verify_passes_the_checked_originals_on_byte_for_byte(tmp_path):
+    config_path, out = make_run(tmp_path, n_topics=3)
+    run_each(config_path, ["pair", "generate"])
+    generated = out / "artifacts" / "toy" / "generated" / "original.jsonl"
+    rows = read_jsonl(generated)
+    rows[0]["note"] = "kept, as é"
+    text = "\n".join(json.dumps(row, indent=None, separators=(",", ":")) for row in rows)
+    generated.write_bytes(text.encode("utf-8") + b"\r\n\n")
+    run_each(config_path, ["verify"])
+    assert (out / "artifacts" / "toy" / "verified" / "original.jsonl").read_bytes() == (
+        generated.read_bytes()
+    )
 
 
 @pytest.mark.filterwarnings("ignore:emitting empty stage")
@@ -773,7 +827,8 @@ def _accented_corpora(root: Path) -> list[dict]:
 
 def _count_stage_loads(monkeypatch) -> dict[str, int]:
     """Calls of the stage-output loaders the CLI calls, by name, from now on."""
-    calls = dict.fromkeys(["load_pairs", "load_questions", "load_scores", "load_solution_rows"], 0)
+    names = ["load_pairs", "load_questions", "load_originals", "load_scores", "load_solution_rows"]
+    calls = dict.fromkeys(names, 0)
 
     def counted(name, load):
         def wrapper(*args):
@@ -832,12 +887,12 @@ def test_what_run_all_hands_over_is_what_a_reload_reads(tmp_path):
         (paths.pairs, lambda path: load_pairs(path, corpus)),
         (paths.solutions, load_solution_rows),
         (paths.scores, load_scores),
-        (paths.generated_file("original"), lambda path: jsonl.load(path, dict)),
-        (paths.verified_file("original"), lambda path: jsonl.load(path, dict)),
+        (paths.generated_file("original"), load_originals),
+        (paths.verified_file("original"), load_originals),
     ]
     for template in ("hybrid", "decomposed"):
         for path in (paths.generated_file(template), paths.verified_file(template)):
-            handed_over.append((path, cli.load_questions))
+            handed_over.append((path, load_questions))
     for path, read in handed_over:
         held = pipe.load(path, lambda path: None)
         assert held, path
@@ -872,7 +927,7 @@ def test_a_stage_output_changed_on_disk_is_read_from_disk(tmp_path, monkeypatch,
         assert err == f"error: {path}: line 2: nominal_difficulty must be a number, got 'hard'\n"
         return
     assert code == cli.EXIT_OK
-    assert calls["load_questions"] == 1  # only the rewritten file is read back
+    assert calls["load_questions"] == 2  # only the rewritten file is read back: by verify, stats
     monkeypatch.undo()
     disk_config, disk_out = make_run(tmp_path / "disk", n_topics=3)
     run_each(disk_config, ["pair", "generate", "verify", "solve", "curriculum"])

@@ -43,9 +43,24 @@ def test_default_id_is_question_hash():
     rec = {"question": "What   is\n 2+2?", "answer": "4", "difficulty": 1.0}
     p = problem_from_record(rec)
     assert p.id == question_hash("What is 2+2?")
+    assert problem_from_record(rec | {"id": None}) == p
     # hash ignores whitespace layout, not content
     assert question_hash("a b") != question_hash("a c")
     assert question_hash(" a\tb \n") == question_hash("a b")
+
+
+@pytest.mark.parametrize("bad", [0, False, "", [], 5], ids=repr)
+def test_a_given_id_must_be_a_non_empty_string(tmp_path, bad):
+    path = tmp_path / "ids.jsonl"
+    rows = [
+        {"id": "a", "question": "q1", "answer": "1", "difficulty": 1.0},
+        {"id": bad, "question": "q2", "answer": "2", "difficulty": 2.0},
+    ]
+    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError) as exc:
+        load_corpus(path)
+    reason = "empty id" if bad == "" else f"id must be a string, got {bad!r}"
+    assert str(exc.value) == f"{path}: line 2: {reason}"
 
 
 def test_load_reports_line_numbers(tmp_path):

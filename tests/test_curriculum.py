@@ -371,7 +371,10 @@ def test_scores_round_trip(tmp_path):
 def _stored(tmp_path, items):
     """The items with their solutions moved to a solutions file, kept by span."""
     path = tmp_path / "solutions.jsonl"
-    rows = [{"question_id": i.question_id, "solution": i.solution} for i in reversed(items)]
+    rows = [
+        {"question_id": i.question_id, "solution": i.solution, "status": "accepted"}
+        for i in reversed(items)
+    ]
     jsonl.write_records(path, rows)
     spans = {record["question_id"]: span for span, record in jsonl.read_records(path)}
     return path, [

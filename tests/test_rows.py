@@ -20,7 +20,15 @@ from mathsynth.quality import (
     QualityError,
     import_review_batch,
 )
-from mathsynth.synthesis import SynthesisError, SynthesizedQuestion, load_questions, save_questions
+from mathsynth.solver import SolverError
+from mathsynth.synthesis import (
+    SynthesisError,
+    SynthesizedQuestion,
+    load_originals,
+    load_questions,
+    save_originals,
+    save_questions,
+)
 
 
 class Loader(NamedTuple):
@@ -131,7 +139,7 @@ LOADERS = {
         _SOLUTIONS,
         1,
         _graded_items,
-        CurriculumError,
+        SolverError,
         "status",
         ("solution", None, "solution must be a string, got None"),
     ),
@@ -140,7 +148,7 @@ LOADERS = {
         _ORIGINALS,
         1,
         _graded_items,
-        CurriculumError,
+        SynthesisError,
         "answer",
         ("nominal_difficulty", True, "nominal_difficulty must be a number, got True"),
     ),
@@ -194,11 +202,13 @@ def test_each_save_returns_what_its_load_reads_back(tmp_path):
     saved = [
         save_pairs([pair], tmp_path / "pairs.jsonl"),
         save_questions([question], tmp_path / "hybrid.jsonl"),
+        save_originals(_CORPUS, tmp_path / "original.jsonl"),
         save_scores([DifficultyScore("a", 5, "m")], tmp_path / "scores.jsonl"),
     ]
     loaded = [
         load_pairs(tmp_path / "pairs.jsonl", _CORPUS),
         load_questions(tmp_path / "hybrid.jsonl"),
+        load_originals(tmp_path / "original.jsonl"),
         load_scores(tmp_path / "scores.jsonl"),
     ]
     assert repr(saved) == repr(loaded)

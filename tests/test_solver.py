@@ -20,7 +20,7 @@ import mathsynth.solver as solver
 from conftest import make_chat
 from mathsynth import jsonl
 from mathsynth.corpus import SeedProblem
-from mathsynth.curriculum import DifficultyScore, load_solution_rows, save_scores
+from mathsynth.curriculum import DifficultyScore, save_scores
 from mathsynth.providers import TransportError
 from mathsynth.solver import (
     GateConfig,
@@ -29,6 +29,7 @@ from mathsynth.solver import (
     SolverError,
     check_gates,
     extract_boxed,
+    load_solution_rows,
     ngram_degeneracy,
     render_solution_prompt,
     solve_dataset,

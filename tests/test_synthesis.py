@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_chat, topic_pair_corpus
-from mathsynth import jsonl
 from mathsynth.corpus import Corpus, SeedProblem
 from mathsynth.pairing import EmbeddingVector, PairingConfig, QuestionPair, build_pairs
 from mathsynth.prompts import (
@@ -26,11 +25,12 @@ from mathsynth.synthesis import (
     SynthesisConfig,
     SynthesisError,
     SynthesizedQuestion,
+    load_originals,
     load_questions,
     multiple_choice_markers,
     nominal_difficulty,
-    original_records,
     parse_generation,
+    save_originals,
     save_questions,
     save_skip_report,
     synthesize_category,
@@ -310,21 +310,21 @@ def test_every_seed_lands_in_exactly_one_bucket(toy_corpus):
     assert sorted(ids) == sorted(p.id for p in toy_corpus.problems)
 
 
-def test_original_records(toy_corpus):
-    records = original_records(toy_corpus)
-    assert len(records) == 20
-    assert [r["id"] for r in records] == sorted(r["id"] for r in records)
-    first = records[0]
-    assert first["id"] == "original:q00a"
-    assert first["category"] == "original"
-    assert first["status"] == "verified"
-    assert first["answer"] == "10"
-    assert first["nominal_difficulty"] == 3.0
+def test_original_records(tmp_path, toy_corpus):
+    path = tmp_path / "original.jsonl"
+    problems = save_originals(toy_corpus, path)
+    assert load_originals(path) == problems
+    assert len(problems) == 20
+    assert [p.id for p in problems] == sorted(p.id for p in problems)
+    first = problems[0]
+    assert first.id == "original:q00a"
+    assert first.answer == "10"
+    assert first.difficulty == 3.0
 
 
 def test_original_rows_are_question_rows_then_the_answer(tmp_path, toy_corpus):
     path = tmp_path / "original.jsonl"
-    jsonl.write_records(path, original_records(toy_corpus))
+    save_originals(toy_corpus, path)
     first = path.read_bytes().splitlines()[0]
     keys = [field.name for field in dataclasses.fields(SynthesizedQuestion)]
     assert list(json.loads(first)) == [*keys, "answer"]
